@@ -1,8 +1,9 @@
 // Package core composes the full system under test: a simulated SSD
 // behind an NVMe queue pair, driven by one of the host storage stacks
-// (kernel sync with a chosen completion method, kernel async/libaio, or
-// SPDK), with CPU, power, and latency instrumentation — the simulated
-// equivalent of the paper's testbed (Section III).
+// (kernel sync with a chosen completion method, kernel async/libaio,
+// SPDK, or io_uring with a chosen completion mode), with CPU, power, and
+// latency instrumentation — the simulated equivalent of the paper's
+// testbed (Section III).
 package core
 
 import (
@@ -58,9 +59,9 @@ type Target interface {
 
 // Flusher is the optional Target extension for durability barriers: a
 // device flush (NVMe Flush) driven through the stack's own submission
-// and completion machinery. Every built-in Target implements it — the
-// kernel stacks, SPDK, and volumes (which fan the barrier out to every
-// member).
+// and completion machinery. Every built-in stack and volume implements
+// it — the kernel stacks, SPDK, io_uring, and volumes (which fan the
+// barrier out to every member).
 type Flusher interface {
 	Flush(done func())
 }
@@ -200,6 +201,6 @@ func (s *System) ExportedBytes() int64 { return s.Dev.ExportedBytes() }
 // symmetry with Graph.WearStats on multi-device topologies).
 func (s *System) WearStats() []ssd.WearReport { return s.graph.WearStats() }
 
-// Finalize settles deferred accounting (the SPDK continuous poll spin).
-// Call once after the run's events have drained.
+// Finalize settles deferred accounting (the SPDK and io_uring SQPOLL
+// continuous poll spins). Call once after the run's events have drained.
 func (s *System) Finalize() { s.graph.Finalize() }

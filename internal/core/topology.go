@@ -7,13 +7,14 @@
 // or a Z-SSD write-absorbing tier in front of a conventional NVMe SSD
 // through exactly the same interface.
 //
-// The graph has three layer kinds:
+// The graph has four layer kinds:
 //
 //   - Queue: one NVMe queue pair bound to one simulated SSD — the
 //     bottom of every path (it is driven by a Stack, not a Target
 //     itself).
 //   - Stack: a host I/O path (kernel sync with a completion method,
-//     kernel async/libaio, or SPDK) over one Queue; the leaf Target.
+//     kernel async/libaio, SPDK, or io_uring with a completion mode)
+//     over one Queue; the leaf Target.
 //   - Volume: a router composing N child layers under one Target —
 //     Striped, Concat, or Tiered (see volume.go).
 //   - FS: a host filesystem + page cache over one child layer —
@@ -55,8 +56,8 @@ type Host interface {
 	// semantics when the root is a filesystem layer, a bare device
 	// flush otherwise.
 	Sync(done func())
-	// Finalize settles deferred accounting (the SPDK continuous poll
-	// spin) once the run's events have drained.
+	// Finalize settles deferred accounting (the SPDK and io_uring SQPOLL
+	// continuous poll spins) once the run's events have drained.
 	Finalize()
 }
 
@@ -70,8 +71,8 @@ type built struct {
 
 // Layer is one node of a topology graph: anything that lowers itself
 // into a Target wired onto the build's engine and CPU core. The layer
-// set is closed — Stack and Volume are the composable nodes, Queue the
-// device pairing a Stack drives.
+// set is closed — Stack, Volume and FS are the composable nodes, Queue
+// the device pairing a Stack drives.
 type Layer interface {
 	lower(g *Graph) built
 }
@@ -141,15 +142,15 @@ func (s Stack) lower(g *Graph) built {
 	var t Target
 	switch s.Kind {
 	case KernelSync:
-		t = kernel.NewSyncStackOn(g.eng, qp, proc, kc, s.Mode)
+		t = kernel.NewSyncStack(g.eng, qp, proc, kc, s.Mode)
 	case KernelAsync:
-		t = kernel.NewAsyncStackOn(g.eng, qp, proc, kc)
+		t = kernel.NewAsyncStack(g.eng, qp, proc, kc)
 	case SPDK:
 		sc := spdk.DefaultCosts()
 		if s.SPDK != nil {
 			sc = *s.SPDK
 		}
-		st := spdk.NewStackOn(g.eng, qp, proc, sc)
+		st := spdk.NewStack(g.eng, qp, proc, sc)
 		g.spdks = append(g.spdks, st)
 		t = st
 	case IOUring:
@@ -162,7 +163,7 @@ func (s Stack) lower(g *Graph) built {
 			// The SQPOLL kernel thread draws (and pins) its own core.
 			sqProc = g.assignProc(0)
 		}
-		st := uring.NewOn(g.eng, qp, proc, sqProc, ucfg)
+		st := uring.New(g.eng, qp, proc, sqProc, ucfg)
 		g.urings = append(g.urings, st)
 		t = st
 	default:

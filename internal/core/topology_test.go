@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/nvme"
+	"repro/internal/sim"
 	"repro/internal/spdk"
+	"repro/internal/uring"
 )
 
 func TestStackKindStringUnknown(t *testing.T) {
@@ -71,6 +74,60 @@ func TestNewSystemKeepsDeliberateCostTables(t *testing.T) {
 	sys = NewSystem(Config{Device: smallULL()})
 	if sys.Cfg.Kernel == (kernel.Costs{}) || sys.Cfg.SPDK == (spdk.Costs{}) {
 		t.Fatal("unset cost tables not defaulted")
+	}
+
+	// A zero table is free on every polling completion path too: the
+	// loop sees a CQE the instant the entry becomes host-visible — one
+	// MSI delivery earlier than a free interrupt path — and Finalize
+	// charges no spin.
+	t.Run("polled", testZeroCostPolling)
+}
+
+func testZeroCostPolling(t *testing.T) {
+	zeroUring := func(m uring.Mode) uring.Config {
+		return uring.Config{Mode: m, Costs: &uring.Costs{}}
+	}
+	run := func(cfg Config) (first sim.Time, busy sim.Time) {
+		cfg.Device = smallULL()
+		sys := NewSystem(cfg)
+		// Several serial reads, so hybrid modes run with sleep history.
+		for i := 0; i < 8; i++ {
+			start := sys.Eng.Now()
+			var lat sim.Time
+			sys.Submit(false, int64(i)*4096, 4096, func() { lat = sys.Eng.Now() - start })
+			sys.Eng.Run()
+			if lat <= 0 {
+				t.Fatalf("%v: read %d did not complete", cfg.Stack, i)
+			}
+			if i == 0 {
+				first = lat
+			}
+		}
+		sys.Finalize()
+		return first, sys.Core.BusyTime()
+	}
+
+	intr, _ := run(Config{Stack: KernelSync, Mode: kernel.Interrupt, KernelSet: true})
+	want := intr - nvme.DefaultConfig().InterruptLatency
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"pvsync2-poll", Config{Stack: KernelSync, Mode: kernel.Poll, KernelSet: true}},
+		{"pvsync2-hybrid", Config{Stack: KernelSync, Mode: kernel.Hybrid, KernelSet: true}},
+		{"spdk", Config{Stack: SPDK, SPDKSet: true}},
+		{"io_uring-poll", Config{Stack: IOUring, Uring: zeroUring(uring.Poll)}},
+		{"io_uring-hybrid", Config{Stack: IOUring, Uring: zeroUring(uring.Hybrid)}},
+		{"io_uring-sqpoll", Config{Stack: IOUring, Uring: zeroUring(uring.SQPoll)}},
+	}
+	for _, c := range cases {
+		first, busy := run(c.cfg)
+		if first != want {
+			t.Errorf("%s: zero-cost poll saw the first CQE after %v, want %v (the instant it was visible)", c.name, first, want)
+		}
+		if busy != 0 {
+			t.Errorf("%s: zero cost table charged %v of CPU time", c.name, busy)
+		}
 	}
 }
 

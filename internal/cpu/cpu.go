@@ -89,6 +89,14 @@ type Counters struct {
 	Calls  uint64
 }
 
+// Cost is the CPU time and memory-instruction bill of one execution of
+// a code path — one row of a stack's cost table.
+type Cost struct {
+	Time   sim.Time
+	Loads  uint64
+	Stores uint64
+}
+
 // Core is one CPU hardware thread's accounting state.
 type Core struct {
 	// TickInterval is the scheduler-tick period (CONFIG_HZ=1000 → 1ms);
@@ -114,6 +122,15 @@ func (c *Core) Charge(fn Fn, d sim.Time, loads, stores uint64) {
 	a.Loads += loads
 	a.Stores += stores
 	a.Calls++
+}
+
+// Pay charges one execution of c to fn.
+func (c *Core) Pay(fn Fn, cost Cost) { c.Charge(fn, cost.Time, cost.Loads, cost.Stores) }
+
+// PayN charges n executions of c to fn as one call: Calls counts the
+// charge, not the executions.
+func (c *Core) PayN(fn Fn, cost Cost, n int64) {
+	c.Charge(fn, cost.Time*sim.Time(n), cost.Loads*uint64(n), cost.Stores*uint64(n))
 }
 
 // Acct returns fn's counters.

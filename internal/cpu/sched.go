@@ -205,6 +205,12 @@ func (p *Proc) Charge(fn Fn, d sim.Time, loads, stores uint64) {
 	p.set.cores[p.id].Charge(fn, d, loads, stores)
 }
 
+// Pay charges one execution of c to fn on the bound core.
+func (p *Proc) Pay(fn Fn, c Cost) { p.set.cores[p.id].Pay(fn, c) }
+
+// PayN charges n executions of c to fn on the bound core, as one call.
+func (p *Proc) PayN(fn Fn, c Cost, n int64) { p.set.cores[p.id].PayN(fn, c, n) }
+
 // Claim acquires the core for work wanting to start at t: it returns
 // when the work can actually begin. On an idle (or non-arbitrating)
 // core that is t itself; on a busy core the work queues behind the

@@ -149,7 +149,7 @@ func (f *FS) fillDone(fl *fill) {
 		if pg == nil {
 			f.stats.InsertSkips++
 		} else {
-			f.chargeN(cpu.FnVFS, f.costs.Insert, 1)
+			f.core.Pay(cpu.FnVFS, f.costs.Insert)
 		}
 	}
 	if dirty {
@@ -202,9 +202,9 @@ func (f *FS) read(offset int64, length int, done func()) {
 	first, last := offset/f.ps, (offset+int64(length)-1)/f.ps
 	n := last - first + 1
 	f.stats.PagesRead += uint64(n)
-	f.charge(cpu.FnSyscall, f.costs.Syscall)
-	f.chargeN(cpu.FnVFS, f.costs.Lookup, n)
-	f.chargeN(cpu.FnVFS, f.costs.CopyPerPage, n)
+	f.core.Pay(cpu.FnSyscall, f.costs.Syscall)
+	f.core.PayN(cpu.FnVFS, f.costs.Lookup, n)
+	f.core.PayN(cpu.FnVFS, f.costs.CopyPerPage, n)
 	pre := f.costs.Syscall.Time + f.costs.Lookup.Time*sim.Time(n)
 
 	var op *fsOp
@@ -292,9 +292,9 @@ func (f *FS) write(offset int64, length int, done func()) {
 	first, last := offset/f.ps, (offset+int64(length)-1)/f.ps
 	n := last - first + 1
 	f.stats.PagesWritten += uint64(n)
-	f.charge(cpu.FnSyscall, f.costs.Syscall)
-	f.chargeN(cpu.FnVFS, f.costs.Lookup, n)
-	f.chargeN(cpu.FnVFS, f.costs.CopyPerPage, n)
+	f.core.Pay(cpu.FnSyscall, f.costs.Syscall)
+	f.core.PayN(cpu.FnVFS, f.costs.Lookup, n)
+	f.core.PayN(cpu.FnVFS, f.costs.CopyPerPage, n)
 	delay := f.costs.Syscall.Time + (f.costs.Lookup.Time+f.costs.CopyPerPage.Time)*sim.Time(n)
 
 	now := f.eng.Now()
@@ -316,7 +316,7 @@ func (f *FS) write(offset int64, length int, done func()) {
 		if spanEnd-spanOff == f.ps {
 			// Full overwrite: no fill needed.
 			if pg := f.insertPage(idx); pg != nil {
-				f.chargeN(cpu.FnVFS, f.costs.Insert, 1)
+				f.core.Pay(cpu.FnVFS, f.costs.Insert)
 				delay += f.costs.Insert.Time
 				f.markDirty(pg, now)
 				continue

@@ -55,36 +55,29 @@ func (m JournalMode) String() string {
 	}
 }
 
-// StageCost mirrors kernel.StageCost for the filesystem tier.
-type StageCost struct {
-	Time   sim.Time
-	Loads  uint64
-	Stores uint64
-}
-
 // Costs is the calibrated cost table of the filesystem/page-cache code
 // paths. These are the host-software costs the paper's Section IV
 // argument is about: fixed per-operation work that is noise behind a
 // 100us flash read and a first-order latency component behind a 3us
 // Z-NAND read.
 type Costs struct {
-	Syscall     StageCost // read/write/fsync entry + exit
-	Lookup      StageCost // per-page radix-tree (xarray) lookup
-	CopyPerPage StageCost // per-page user<->page-cache memcpy (4KiB)
-	Insert      StageCost // per-page allocation + tree insert + LRU link
-	FsyncCall   StageCost // fsync dirty-list walk and writeback setup
-	JournalPrep StageCost // per-commit journal transaction preparation
+	Syscall     cpu.Cost // read/write/fsync entry + exit
+	Lookup      cpu.Cost // per-page radix-tree (xarray) lookup
+	CopyPerPage cpu.Cost // per-page user<->page-cache memcpy (4KiB)
+	Insert      cpu.Cost // per-page allocation + tree insert + LRU link
+	FsyncCall   cpu.Cost // fsync dirty-list walk and writeback setup
+	JournalPrep cpu.Cost // per-commit journal transaction preparation
 }
 
 // DefaultCosts returns the calibrated table.
 func DefaultCosts() Costs {
 	return Costs{
-		Syscall:     StageCost{Time: 120 * sim.Nanosecond, Loads: 60, Stores: 40},
-		Lookup:      StageCost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 6},
-		CopyPerPage: StageCost{Time: 420 * sim.Nanosecond, Loads: 256, Stores: 256},
-		Insert:      StageCost{Time: 500 * sim.Nanosecond, Loads: 120, Stores: 140},
-		FsyncCall:   StageCost{Time: 400 * sim.Nanosecond, Loads: 150, Stores: 60},
-		JournalPrep: StageCost{Time: 1800 * sim.Nanosecond, Loads: 420, Stores: 380},
+		Syscall:     cpu.Cost{Time: 120 * sim.Nanosecond, Loads: 60, Stores: 40},
+		Lookup:      cpu.Cost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 6},
+		CopyPerPage: cpu.Cost{Time: 420 * sim.Nanosecond, Loads: 256, Stores: 256},
+		Insert:      cpu.Cost{Time: 500 * sim.Nanosecond, Loads: 120, Stores: 140},
+		FsyncCall:   cpu.Cost{Time: 400 * sim.Nanosecond, Loads: 150, Stores: 60},
+		JournalPrep: cpu.Cost{Time: 1800 * sim.Nanosecond, Loads: 420, Stores: 380},
 	}
 }
 
@@ -372,14 +365,6 @@ func (f *FS) Stats() Stats {
 	s := f.stats
 	s.DirtyPages = f.nDirty
 	return s
-}
-
-func (f *FS) charge(fn cpu.Fn, c StageCost) {
-	f.core.Charge(fn, c.Time, c.Loads, c.Stores)
-}
-
-func (f *FS) chargeN(fn cpu.Fn, c StageCost, n int64) {
-	f.core.Charge(fn, c.Time*sim.Time(n), c.Loads*uint64(n), c.Stores*uint64(n))
 }
 
 // fsOp joins one host operation's outstanding pieces: the syscall-side

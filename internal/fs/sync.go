@@ -203,8 +203,8 @@ func (f *FS) expireFire() {
 //ullvet:noalloc bench=BenchmarkFSFsync
 func (f *FS) Sync(done func()) {
 	f.stats.Fsyncs++
-	f.charge(cpu.FnSyscall, f.costs.Syscall)
-	f.charge(cpu.FnExt4, f.costs.FsyncCall)
+	f.core.Pay(cpu.FnSyscall, f.costs.Syscall)
+	f.core.Pay(cpu.FnExt4, f.costs.FsyncCall)
 	if f.pr != nil {
 		// One slot per queued sync, nil spans included, so the head of
 		// this FIFO is always the active sync's span.
@@ -262,7 +262,7 @@ func (f *FS) syncAdvance() {
 		switch f.syncStage {
 		case 0:
 			sp.To(probe.PWriteback, now)
-			f.charge(cpu.FnExt4, f.costs.JournalPrep)
+			f.core.Pay(cpu.FnExt4, f.costs.JournalPrep)
 			f.syncStage = 1
 			f.jwrite(f.commitBytes(), f.syncStepFn)
 		case 1:
@@ -287,7 +287,7 @@ func (f *FS) syncAdvance() {
 		switch f.syncStage {
 		case 0:
 			sp.To(probe.PWriteback, now)
-			f.charge(cpu.FnExt4, f.costs.JournalPrep)
+			f.core.Pay(cpu.FnExt4, f.costs.JournalPrep)
 			f.syncStage = 1
 			f.logAppend(f.commitBytes(), f.syncStepFn)
 		case 1:

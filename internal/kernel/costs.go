@@ -6,15 +6,10 @@
 // paper profiles (blk_mq_poll, nvme_poll, ISR, ...).
 package kernel
 
-import "repro/internal/sim"
-
-// StageCost is the CPU time and memory-instruction cost of one pipeline
-// stage execution.
-type StageCost struct {
-	Time   sim.Time
-	Loads  uint64
-	Stores uint64
-}
+import (
+	"repro/internal/cpu"
+	"repro/internal/sim"
+)
 
 // Costs is the calibrated cost table of the stack. The defaults target
 // the ratios the paper reports (see EXPERIMENTS.md): interrupt-mode CPU
@@ -23,22 +18,22 @@ type StageCost struct {
 // interrupt counts.
 type Costs struct {
 	// Submission path, charged once per I/O.
-	AppSetup StageCost // fio engine user code around the syscall
-	Syscall  StageCost // entry+exit combined; charged half and half
-	VFS      StageCost // VFS + O_DIRECT mapping
-	BlkMQ    StageCost // bio -> software queue -> hardware queue
-	Driver   StageCost // SQE build + doorbell MMIO
+	AppSetup cpu.Cost // fio engine user code around the syscall
+	Syscall  cpu.Cost // entry+exit combined; charged half and half
+	VFS      cpu.Cost // VFS + O_DIRECT mapping
+	BlkMQ    cpu.Cost // bio -> software queue -> hardware queue
+	Driver   cpu.Cost // SQE build + doorbell MMIO
 
 	// Interrupt completion.
-	ISR         StageCost // MSI handling + softirq completion
-	CtxSwitch   StageCost // sleep + wake context-switch pair (busy part)
-	WakeLatency sim.Time  // run-queue delay before the app resumes (idle)
+	ISR         cpu.Cost // MSI handling + softirq completion
+	CtxSwitch   cpu.Cost // sleep + wake context-switch pair (busy part)
+	WakeLatency sim.Time // run-queue delay before the app resumes (idle)
 
 	// Polled completion: one CQ-check iteration is a blk_mq_poll shell
 	// (reschedule checks, cookie lookup) plus the nvme_poll CQ walk.
-	PollIterBlk  StageCost
-	PollIterNVMe StageCost
-	PollComplete StageCost // request completion in the poll path
+	PollIterBlk  cpu.Cost
+	PollIterNVMe cpu.Cost
+	PollComplete cpu.Cost // request completion in the poll path
 
 	// Poll-wait work stealing: a spinning poller holds its core with a
 	// spin lock and no context switch, so deferred kernel work (softirq
@@ -56,8 +51,8 @@ type Costs struct {
 	// path (hrtimer softirq + scheduling) adds a jittered delay before
 	// the poll loop resumes — together these are why hybrid's savings
 	// fall well short of classic polling (Figure 16).
-	TimerProgram      StageCost
-	TimerWake         StageCost
+	TimerProgram      cpu.Cost
+	TimerWake         cpu.Cost
 	HybridWakeJitter  sim.Time // mean of the exponential wake-latency tail
 	HybridSleepFactor float64  // fraction of tracked mean to sleep (4.14: 0.5)
 	HybridMinSleep    sim.Time // below this, hybrid degenerates to poll
@@ -71,28 +66,28 @@ func (c *Costs) PollIter() sim.Time {
 // DefaultCosts returns the calibrated stack cost table.
 func DefaultCosts() Costs {
 	return Costs{
-		AppSetup: StageCost{Time: 1000 * sim.Nanosecond, Loads: 320, Stores: 150},
-		Syscall:  StageCost{Time: 120 * sim.Nanosecond, Loads: 60, Stores: 40},
-		VFS:      StageCost{Time: 180 * sim.Nanosecond, Loads: 130, Stores: 60},
-		BlkMQ:    StageCost{Time: 150 * sim.Nanosecond, Loads: 110, Stores: 70},
-		Driver:   StageCost{Time: 120 * sim.Nanosecond, Loads: 70, Stores: 75},
+		AppSetup: cpu.Cost{Time: 1000 * sim.Nanosecond, Loads: 320, Stores: 150},
+		Syscall:  cpu.Cost{Time: 120 * sim.Nanosecond, Loads: 60, Stores: 40},
+		VFS:      cpu.Cost{Time: 180 * sim.Nanosecond, Loads: 130, Stores: 60},
+		BlkMQ:    cpu.Cost{Time: 150 * sim.Nanosecond, Loads: 110, Stores: 70},
+		Driver:   cpu.Cost{Time: 120 * sim.Nanosecond, Loads: 70, Stores: 75},
 
-		ISR:         StageCost{Time: 400 * sim.Nanosecond, Loads: 120, Stores: 60},
-		CtxSwitch:   StageCost{Time: 500 * sim.Nanosecond, Loads: 90, Stores: 80},
+		ISR:         cpu.Cost{Time: 400 * sim.Nanosecond, Loads: 120, Stores: 60},
+		CtxSwitch:   cpu.Cost{Time: 500 * sim.Nanosecond, Loads: 90, Stores: 80},
 		WakeLatency: 900 * sim.Nanosecond,
 
 		// One poll iteration ~110ns: the blk_mq_poll shell dominates the
 		// cycle count (need_resched checks, hctx/cookie handling), the
 		// nvme_poll CQ-entry load is the uncached DMA-coherent access.
-		PollIterBlk:  StageCost{Time: 80 * sim.Nanosecond, Loads: 11, Stores: 4},
-		PollIterNVMe: StageCost{Time: 20 * sim.Nanosecond, Loads: 5, Stores: 1},
-		PollComplete: StageCost{Time: 260 * sim.Nanosecond, Loads: 90, Stores: 60},
+		PollIterBlk:  cpu.Cost{Time: 80 * sim.Nanosecond, Loads: 11, Stores: 4},
+		PollIterNVMe: cpu.Cost{Time: 20 * sim.Nanosecond, Loads: 5, Stores: 1},
+		PollComplete: cpu.Cost{Time: 260 * sim.Nanosecond, Loads: 90, Stores: 60},
 
 		PollStealThreshold: 300 * sim.Microsecond,
 		PollStealFrac:      0.12,
 
-		TimerProgram:      StageCost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 30},
-		TimerWake:         StageCost{Time: 650 * sim.Nanosecond, Loads: 110, Stores: 70},
+		TimerProgram:      cpu.Cost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 30},
+		TimerWake:         cpu.Cost{Time: 650 * sim.Nanosecond, Loads: 110, Stores: 70},
 		HybridWakeJitter:  2200 * sim.Nanosecond,
 		HybridSleepFactor: 0.5,
 		HybridMinSleep:    2 * sim.Microsecond,

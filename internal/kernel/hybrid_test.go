@@ -25,7 +25,7 @@ func TestLatencyMean(t *testing.T) {
 
 func TestHybridFirstIOPollsLikeClassic(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Hybrid)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Hybrid)
 	// With no history there is nothing to sleep on.
 	done := false
 	s.Submit(false, 0, 4096, func() { done = true })
@@ -40,7 +40,7 @@ func TestHybridFirstIOPollsLikeClassic(t *testing.T) {
 
 func TestHybridTracksPerSizeClass(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Hybrid)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Hybrid)
 	runSync(r, s, false, 30)
 	if s.hybrid[4096] == nil || s.hybrid[4096].count == 0 {
 		t.Fatal("4KB size class untracked")
@@ -61,7 +61,7 @@ func TestHybridMinSleepGate(t *testing.T) {
 	costs := DefaultCosts()
 	costs.HybridMinSleep = 1 * sim.Second // sleep can never trigger
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, costs, Hybrid)
+	s := NewSyncStack(r.eng, r.qp, r.proc, costs, Hybrid)
 	runSync(r, s, false, 50)
 	if r.core.Acct(cpu.FnTimer).Calls != 0 {
 		t.Fatal("timer armed below the minimum-sleep gate")
@@ -70,9 +70,9 @@ func TestHybridMinSleepGate(t *testing.T) {
 
 func TestHybridSleepReducesPollIterations(t *testing.T) {
 	rPoll := newRig(smallULL())
-	runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.core, DefaultCosts(), Poll), false, 100)
+	runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.proc, DefaultCosts(), Poll), false, 100)
 	rHyb := newRig(smallULL())
-	runSync(rHyb, NewSyncStack(rHyb.eng, rHyb.qp, rHyb.core, DefaultCosts(), Hybrid), false, 100)
+	runSync(rHyb, NewSyncStack(rHyb.eng, rHyb.qp, rHyb.proc, DefaultCosts(), Hybrid), false, 100)
 	pollIters := rPoll.core.Acct(cpu.FnBlkMQPoll).Time
 	hybIters := rHyb.core.Acct(cpu.FnBlkMQPoll).Time
 	if hybIters >= pollIters {
@@ -93,7 +93,7 @@ func TestPollStealChargesOther(t *testing.T) {
 	slow.PrefetchPages = 0
 	r := newRig(slow)
 	r.dev.Precondition(0.5)
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Poll)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Poll)
 	runSync(r, s, false, 5)
 	if r.core.Acct(cpu.FnOther).Time == 0 {
 		t.Fatal("long poll waits charged no deferred-work steal")
@@ -102,7 +102,7 @@ func TestPollStealChargesOther(t *testing.T) {
 
 func TestInterruptHasNoPollCharges(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Interrupt)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Interrupt)
 	runSync(r, s, true, 20)
 	if r.core.Acct(cpu.FnBlkMQPoll).Calls != 0 || r.core.Acct(cpu.FnNVMePoll).Calls != 0 {
 		t.Fatal("interrupt mode charged poll functions")

@@ -89,18 +89,12 @@ func (m *latencyMean) mean() sim.Time {
 	return m.sum / sim.Time(m.count)
 }
 
-// NewSyncStack wires a synchronous stack onto a queue pair using the
-// legacy single-core accounting model. The stack owns the queue pair's
-// completion delivery configuration.
-func NewSyncStack(eng *sim.Engine, qp *nvme.QueuePair, core *cpu.Core, costs Costs, mode Mode) *SyncStack {
-	return NewSyncStackOn(eng, qp, cpu.SoloProc(core), costs, mode)
-}
-
-// NewSyncStackOn wires a synchronous stack onto a queue pair, executing
+// NewSyncStack wires a synchronous stack onto a queue pair, executing
 // on the given core handle: submission and completion work claims and
 // holds the core, the poll loop spins on it, and interrupt wakeups pay
-// the scheduler's migration cost when the core set arbitrates.
-func NewSyncStackOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs, mode Mode) *SyncStack {
+// the scheduler's migration cost when the core set arbitrates. The
+// stack owns the queue pair's completion delivery configuration.
+func NewSyncStack(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs, mode Mode) *SyncStack {
 	s := &SyncStack{
 		eng:    eng,
 		qp:     qp,
@@ -145,14 +139,6 @@ func NewSyncStackOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs C
 // Mode reports the configured completion method.
 func (s *SyncStack) Mode() Mode { return s.mode }
 
-func (s *SyncStack) charge(fn cpu.Fn, c StageCost) {
-	s.proc.Charge(fn, c.Time, c.Loads, c.Stores)
-}
-
-func (s *SyncStack) chargeN(fn cpu.Fn, c StageCost, n int64) {
-	s.proc.Charge(fn, c.Time*sim.Time(n), c.Loads*uint64(n), c.Stores*uint64(n))
-}
-
 // Submit issues one synchronous I/O. done fires when control returns to
 // the application. Submitting while an I/O is outstanding panics: the
 // pvsync2 engine is strictly serial.
@@ -182,14 +168,7 @@ func (s *SyncStack) begin(write, flush bool, offset int64, length int, done func
 	sp.Add(probe.PCoreWait, start-now)
 
 	// Submission pipeline: user setup, syscall entry, VFS, blk-mq, driver.
-	s.charge(cpu.FnAppUser, s.costs.AppSetup)
-	s.charge(cpu.FnSyscall, half(s.costs.Syscall))
-	s.charge(cpu.FnVFS, s.costs.VFS)
-	s.charge(cpu.FnBlkMQSubmit, s.costs.BlkMQ)
-	s.charge(cpu.FnNVMeDriver, s.costs.Driver)
-
-	submitDelay := s.costs.AppSetup.Time + s.costs.Syscall.Time/2 +
-		s.costs.VFS.Time + s.costs.BlkMQ.Time + s.costs.Driver.Time
+	submitDelay := s.costs.paySubmit(s.proc, half(s.costs.Syscall))
 	s.proc.Hold(start, start+submitDelay)
 
 	io := &s.io
@@ -220,7 +199,7 @@ func (s *SyncStack) armHybridSleep(io *syncIO) {
 	if sleep < s.costs.HybridMinSleep {
 		return
 	}
-	s.charge(cpu.FnTimer, s.costs.TimerProgram)
+	s.proc.Pay(cpu.FnTimer, s.costs.TimerProgram)
 	io.sleeping = true
 	io.wakeAt = s.eng.Now() + sleep
 }
@@ -242,24 +221,19 @@ func (s *SyncStack) onVisible() {
 		// hybrid oversleep/wake penalty.
 		pollStart = io.wakeAt
 		wakeCost = s.costs.TimerWake.Time + sim.Time(s.rng.Exp(float64(s.costs.HybridWakeJitter)))
-		s.charge(cpu.FnTimer, s.costs.TimerWake)
+		s.proc.Pay(cpu.FnTimer, s.costs.TimerWake)
 	}
 
 	iter := s.costs.PollIter()
 	// The loop starts at pollStart (+ wake path, + run-queue wait if the
 	// core set is contended) and observes the entry at the first
-	// iteration boundary at or after tc.
+	// iteration boundary at or after tc, on a grid anchored at the loop
+	// start. An entry that completed during sleep or before the loop
+	// spun up is found by the first iteration.
 	base := s.proc.Claim(pollStart + wakeCost)
 	wait := tc - base
-	var iters int64
-	if wait <= 0 {
-		// Completed during sleep or before the loop spun up: the first
-		// iteration finds it.
-		iters = 1
-	} else {
-		iters = (int64(wait) + int64(iter) - 1) / int64(iter)
-	}
-	detect := base + sim.Time(iters)*iter
+	detect := base + nvme.PollBoundary(0, max(wait, 0), iter)
+	iters := nvme.PollIters(detect-base, iter)
 
 	// Two tail penalties hit busy pollers but not interrupt waiters.
 	// Scheduler ticks during the poll preempt the poller outright.
@@ -278,8 +252,8 @@ func (s *SyncStack) onVisible() {
 		detect += steal
 	}
 
-	s.chargeN(cpu.FnBlkMQPoll, s.costs.PollIterBlk, iters)
-	s.chargeN(cpu.FnNVMePoll, s.costs.PollIterNVMe, iters)
+	s.proc.PayN(cpu.FnBlkMQPoll, s.costs.PollIterBlk, iters)
+	s.proc.PayN(cpu.FnNVMePoll, s.costs.PollIterNVMe, iters)
 
 	// The spinning task owns the core for the whole detection window.
 	s.proc.Spin(base, detect)
@@ -297,8 +271,8 @@ func (s *SyncStack) onMSI() {
 	if _, ok := s.qp.Poll(); !ok {
 		panic("kernel: MSI with empty CQ")
 	}
-	s.charge(cpu.FnISR, s.costs.ISR)
-	s.charge(cpu.FnCtxSwitch, s.costs.CtxSwitch)
+	s.proc.Pay(cpu.FnISR, s.costs.ISR)
+	s.proc.Pay(cpu.FnCtxSwitch, s.costs.CtxSwitch)
 	now := s.eng.Now()
 	// Under arbitration the IRQ wakeup pays migration plus any run-queue
 	// wait, and the ISR + context-switch work occupies the core.
@@ -312,10 +286,10 @@ func (s *SyncStack) onMSI() {
 func (s *SyncStack) finish(io *syncIO) {
 	exit := s.costs.Syscall.Time / 2
 	if s.mode != Interrupt {
-		s.charge(cpu.FnBlkMQPoll, s.costs.PollComplete)
+		s.proc.Pay(cpu.FnBlkMQPoll, s.costs.PollComplete)
 		exit += s.costs.PollComplete.Time
 	}
-	s.charge(cpu.FnSyscall, half(s.costs.Syscall))
+	s.proc.Pay(cpu.FnSyscall, half(s.costs.Syscall))
 	now := s.eng.Now()
 	s.proc.Hold(now, now+exit)
 	s.eng.After(exit, s.settleFn)
@@ -342,8 +316,21 @@ func (s *SyncStack) settle() {
 	done()
 }
 
-func half(c StageCost) StageCost {
-	return StageCost{Time: c.Time / 2, Loads: c.Loads / 2, Stores: c.Stores / 2}
+func half(c cpu.Cost) cpu.Cost {
+	return cpu.Cost{Time: c.Time / 2, Loads: c.Loads / 2, Stores: c.Stores / 2}
+}
+
+// paySubmit charges the submission pipeline — user setup, syscall entry
+// (the given share of the syscall cost), VFS, blk-mq, driver — and
+// returns its duration. The syscall entry always takes half the
+// syscall's time, whatever share of its instructions is billed.
+func (c *Costs) paySubmit(p *cpu.Proc, syscall cpu.Cost) sim.Time {
+	p.Pay(cpu.FnAppUser, c.AppSetup)
+	p.Pay(cpu.FnSyscall, syscall)
+	p.Pay(cpu.FnVFS, c.VFS)
+	p.Pay(cpu.FnBlkMQSubmit, c.BlkMQ)
+	p.Pay(cpu.FnNVMeDriver, c.Driver)
+	return c.AppSetup.Time + c.Syscall.Time/2 + c.VFS.Time + c.BlkMQ.Time + c.Driver.Time
 }
 
 // AsyncStack models the libaio path: io_submit batching keeps many I/Os
@@ -352,100 +339,27 @@ func half(c StageCost) StageCost {
 // bandwidth studies (Figures 4-7).
 type AsyncStack struct {
 	eng   *sim.Engine
-	qp    *nvme.QueuePair
 	proc  *cpu.Proc
 	costs Costs
-
-	pr *probe.Probe
-
-	// pending is a direct-mapped CID table (the CID space is uint16, so
-	// the table covers it fully — no hashing, no collisions).
-	pending   []*asyncIO
-	nOut      int
-	freeIOs   *asyncIO   // recycled I/O contexts
-	freeBatch *doneBatch // recycled completion batches
-	deliverFn func(any)  // bound once: deliver one reaped batch
-	nextCID   uint16
+	pr    *probe.Probe
+	led   *nvme.Ledger
 }
 
-// doneBatch carries every completion reaped by one interrupt through the
-// io_getevents delay as a single scheduled event instead of one per CQE.
-type doneBatch struct {
-	dones []func()
-	next  *doneBatch
-}
-
-// asyncIO is the pooled per-I/O context; submitFn is bound once so the
-// submission delay event carries no fresh closure.
-type asyncIO struct {
-	s        *AsyncStack
-	write    bool
-	flush    bool // device flush barrier instead of a data transfer
-	offset   int64
-	length   int
-	cid      uint16
-	done     func()
-	span     *probe.Span
-	submitFn func()
-	next     *asyncIO
-}
-
-// NewAsyncStack wires an asynchronous stack onto a queue pair using the
-// legacy single-core accounting model.
-func NewAsyncStack(eng *sim.Engine, qp *nvme.QueuePair, core *cpu.Core, costs Costs) *AsyncStack {
-	return NewAsyncStackOn(eng, qp, cpu.SoloProc(core), costs)
-}
-
-// NewAsyncStackOn wires an asynchronous stack onto a queue pair,
+// NewAsyncStack wires an asynchronous stack onto a queue pair,
 // executing on the given core handle: io_submit work queues behind and
 // then holds the core, and the io_getevents reap path pays the wakeup
 // migration cost when the core set arbitrates.
-func NewAsyncStackOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs) *AsyncStack {
+func NewAsyncStack(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs) *AsyncStack {
 	s := &AsyncStack{
-		eng:     eng,
-		qp:      qp,
-		proc:    proc,
-		costs:   costs,
-		pr:      probe.Get(eng),
-		pending: make([]*asyncIO, 1<<16),
+		eng:   eng,
+		proc:  proc,
+		costs: costs,
+		pr:    probe.Get(eng),
+		led:   nvme.NewLedger(eng, qp, "kernel"),
 	}
-	s.deliverFn = s.deliver
 	qp.EnableInterrupts(true)
 	qp.SetMSIHandler(s.onMSI)
 	return s
-}
-
-// getIO takes an I/O context from the free list, binding its submit
-// closure once on first allocation.
-//
-//ullvet:pool get
-func (s *AsyncStack) getIO() *asyncIO {
-	io := s.freeIOs
-	if io == nil {
-		io = &asyncIO{s: s}
-		io.submitFn = func() {
-			io.s.pr.SetSpan(io.span)
-			if io.flush {
-				io.s.qp.SubmitFlush(io.cid)
-			} else {
-				io.s.qp.Submit(io.write, io.offset, io.length, io.cid)
-			}
-		}
-		return io
-	}
-	s.freeIOs = io.next
-	io.next = nil
-	return io
-}
-
-// putIO returns an I/O context to the free list.
-//
-//ullvet:pool put
-func (s *AsyncStack) putIO(io *asyncIO) {
-	io.done = nil
-	io.span = nil
-	io.next = s.freeIOs
-	s.freeIOs = io
 }
 
 // Submit issues one asynchronous I/O; any number may be outstanding up to
@@ -467,106 +381,35 @@ func (s *AsyncStack) begin(write, flush bool, offset int64, length int, done fun
 	start := s.proc.Claim(now)
 	sp.Add(probe.PCoreWait, start-now)
 
-	s.proc.Charge(cpu.FnAppUser, s.costs.AppSetup.Time, s.costs.AppSetup.Loads, s.costs.AppSetup.Stores)
-	s.proc.Charge(cpu.FnSyscall, s.costs.Syscall.Time, s.costs.Syscall.Loads, s.costs.Syscall.Stores)
-	s.proc.Charge(cpu.FnVFS, s.costs.VFS.Time, s.costs.VFS.Loads, s.costs.VFS.Stores)
-	s.proc.Charge(cpu.FnBlkMQSubmit, s.costs.BlkMQ.Time, s.costs.BlkMQ.Loads, s.costs.BlkMQ.Stores)
-	s.proc.Charge(cpu.FnNVMeDriver, s.costs.Driver.Time, s.costs.Driver.Loads, s.costs.Driver.Stores)
-
-	submitDelay := s.costs.AppSetup.Time + s.costs.Syscall.Time/2 +
-		s.costs.VFS.Time + s.costs.BlkMQ.Time + s.costs.Driver.Time
+	submitDelay := s.costs.paySubmit(s.proc, s.costs.Syscall)
 	s.proc.Hold(start, start+submitDelay)
 
-	io := s.getIO()
-	io.write = write
-	io.flush = flush
-	io.offset = offset
-	io.length = length
-	io.cid = s.nextCID
-	io.done = done
-	io.span = sp
-	s.nextCID++
-	if s.pending[io.cid] != nil {
-		panic(fmt.Sprintf("kernel: CID %d reused while outstanding", io.cid))
-	}
-	//ullvet:retained outstanding until its CQE; onMSI reaps and putIOs it
-	s.pending[io.cid] = io
-	s.nOut++
-	s.eng.After(start-now+submitDelay, io.submitFn)
+	cid := s.led.Track(done)
+	s.led.Ring(start+submitDelay, nvme.Cmd{Write: write, Flush: flush, Offset: offset, Length: length, CID: cid, Span: sp})
 }
 
 // onMSI reaps every visible completion, charging the ISR path per CQE.
 // The submitter observes the completion only after the io_getevents
 // reaping path runs: ISR, wakeup context switch, syscall return.
 func (s *AsyncStack) onMSI() {
-	var b *doneBatch
-	for {
-		cid, ok := s.qp.Poll()
-		if !ok {
-			break
-		}
-		io := s.pending[cid]
-		if io == nil {
-			panic(fmt.Sprintf("kernel: completion for unknown CID %d", cid))
-		}
-		s.pending[cid] = nil
-		s.nOut--
-		done := io.done
-		s.putIO(io)
-		s.proc.Charge(cpu.FnISR, s.costs.ISR.Time, s.costs.ISR.Loads, s.costs.ISR.Stores)
-		s.proc.Charge(cpu.FnCtxSwitch, s.costs.CtxSwitch.Time, s.costs.CtxSwitch.Loads, s.costs.CtxSwitch.Stores)
-		if b == nil {
-			b = s.getBatch()
-		}
-		b.dones = append(b.dones, done)
+	n := 0
+	for s.led.Reap() {
+		s.proc.Pay(cpu.FnISR, s.costs.ISR)
+		s.proc.Pay(cpu.FnCtxSwitch, s.costs.CtxSwitch)
+		n++
 	}
-	if b == nil {
+	if n == 0 {
 		return
 	}
 	// Every reaped CQE observes the same delay, so the whole batch rides
-	// one scheduled event; the dones run in reap order, which preserves
-	// the firing order the per-CQE events had (their sequence numbers
-	// were consecutive). Under arbitration the reaping task additionally
+	// one delivery event. Under arbitration the reaping task additionally
 	// pays the wakeup cost and occupies the core for the reap span.
 	reap := s.costs.ISR.Time + s.costs.CtxSwitch.Time + s.costs.Syscall.Time/2
 	now := s.eng.Now()
 	extra := s.proc.Wake(now)
 	s.proc.Hold(now+extra, now+extra+reap)
-	s.eng.AfterArg(extra+reap, s.deliverFn, b)
-}
-
-// getBatch takes a completion batch from the free list.
-//
-//ullvet:pool get
-func (s *AsyncStack) getBatch() *doneBatch {
-	b := s.freeBatch
-	if b == nil {
-		return &doneBatch{}
-	}
-	s.freeBatch = b.next
-	b.next = nil
-	return b
-}
-
-// putBatch empties a delivered batch and returns it to the free list.
-//
-//ullvet:pool put
-func (s *AsyncStack) putBatch(b *doneBatch) {
-	b.dones = b.dones[:0]
-	b.next = s.freeBatch
-	s.freeBatch = b
-}
-
-// deliver runs one reaped batch after the io_getevents path delay.
-func (s *AsyncStack) deliver(arg any) {
-	b := arg.(*doneBatch)
-	for i := 0; i < len(b.dones); i++ {
-		fn := b.dones[i]
-		b.dones[i] = nil
-		fn()
-	}
-	s.putBatch(b)
+	s.led.Deliver(extra + reap)
 }
 
 // Outstanding reports in-flight asynchronous I/Os.
-func (s *AsyncStack) Outstanding() int { return s.nOut }
+func (s *AsyncStack) Outstanding() int { return s.led.Outstanding() }

@@ -15,13 +15,15 @@ type rig struct {
 	dev  *ssd.Device
 	qp   *nvme.QueuePair
 	core *cpu.Core
+	proc *cpu.Proc // solo (non-arbitrating) handle on core
 }
 
 func newRig(devCfg ssd.Config) *rig {
 	eng := sim.NewEngine()
 	dev := ssd.NewDevice(devCfg, eng)
 	qp := nvme.New(eng, dev, nvme.DefaultConfig())
-	return &rig{eng: eng, dev: dev, qp: qp, core: cpu.NewCore()}
+	core := cpu.NewCore()
+	return &rig{eng: eng, dev: dev, qp: qp, core: core, proc: cpu.SoloProc(core)}
 }
 
 func smallULL() ssd.Config {
@@ -63,7 +65,7 @@ func runSync(r *rig, s *SyncStack, write bool, n int) sim.Time {
 
 func TestSyncInterruptCompletes(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Interrupt)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Interrupt)
 	lat := runSync(r, s, false, 10)
 	if lat <= 0 {
 		t.Fatal("no latency measured")
@@ -79,10 +81,10 @@ func TestSyncInterruptCompletes(t *testing.T) {
 
 func TestSyncPollFasterThanInterrupt(t *testing.T) {
 	rInt := newRig(smallULL())
-	latInt := runSync(rInt, NewSyncStack(rInt.eng, rInt.qp, rInt.core, DefaultCosts(), Interrupt), false, 50)
+	latInt := runSync(rInt, NewSyncStack(rInt.eng, rInt.qp, rInt.proc, DefaultCosts(), Interrupt), false, 50)
 
 	rPoll := newRig(smallULL())
-	latPoll := runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.core, DefaultCosts(), Poll), false, 50)
+	latPoll := runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.proc, DefaultCosts(), Poll), false, 50)
 
 	if latPoll >= latInt {
 		t.Fatalf("poll %v not faster than interrupt %v", latPoll, latInt)
@@ -96,7 +98,7 @@ func TestSyncPollFasterThanInterrupt(t *testing.T) {
 
 func TestSyncPollChargesPollFunctions(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Poll)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Poll)
 	runSync(r, s, false, 10)
 	blk := r.core.Acct(cpu.FnBlkMQPoll)
 	nv := r.core.Acct(cpu.FnNVMePoll)
@@ -113,7 +115,7 @@ func TestSyncPollChargesPollFunctions(t *testing.T) {
 
 func TestSyncPollCPUBound(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Poll)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Poll)
 	runSync(r, s, false, 100)
 	u := r.core.Utilization(r.eng.Now())
 	if u.Kernel < 60 {
@@ -126,7 +128,7 @@ func TestSyncPollCPUBound(t *testing.T) {
 
 func TestSyncInterruptMostlyIdle(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Interrupt)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Interrupt)
 	runSync(r, s, false, 100)
 	u := r.core.Utilization(r.eng.Now())
 	if u.Idle < 50 {
@@ -136,9 +138,9 @@ func TestSyncInterruptMostlyIdle(t *testing.T) {
 
 func TestSyncPollMoreMemoryInstructions(t *testing.T) {
 	rInt := newRig(smallULL())
-	runSync(rInt, NewSyncStack(rInt.eng, rInt.qp, rInt.core, DefaultCosts(), Interrupt), false, 50)
+	runSync(rInt, NewSyncStack(rInt.eng, rInt.qp, rInt.proc, DefaultCosts(), Interrupt), false, 50)
 	rPoll := newRig(smallULL())
-	runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.core, DefaultCosts(), Poll), false, 50)
+	runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.proc, DefaultCosts(), Poll), false, 50)
 	if rPoll.core.Loads() <= rInt.core.Loads() {
 		t.Fatal("polling must issue more loads than interrupts")
 	}
@@ -149,7 +151,7 @@ func TestSyncPollMoreMemoryInstructions(t *testing.T) {
 
 func TestHybridSleepsAfterWarmup(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Hybrid)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Hybrid)
 	runSync(r, s, false, 100)
 	if r.core.Acct(cpu.FnTimer).Calls == 0 {
 		t.Fatal("hybrid never armed its timer")
@@ -163,7 +165,7 @@ func TestHybridBetweenInterruptAndPoll(t *testing.T) {
 	walls := map[Mode]sim.Time{}
 	for _, m := range []Mode{Interrupt, Poll, Hybrid} {
 		r := newRig(smallULL())
-		latencies[m] = runSync(r, NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), m), false, n)
+		latencies[m] = runSync(r, NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), m), false, n)
 		cores[m] = r.core
 		walls[m] = r.eng.Now()
 	}
@@ -185,7 +187,7 @@ func TestHybridBetweenInterruptAndPoll(t *testing.T) {
 
 func TestSyncSerialEnforced(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewSyncStack(r.eng, r.qp, r.core, DefaultCosts(), Interrupt)
+	s := NewSyncStack(r.eng, r.qp, r.proc, DefaultCosts(), Interrupt)
 	s.Submit(false, 0, 4096, func() {})
 	defer func() {
 		if recover() == nil {
@@ -209,9 +211,9 @@ func TestPollTickPenaltyOnLongOps(t *testing.T) {
 		return r
 	}
 	rInt := prep()
-	latInt := runSync(rInt, NewSyncStack(rInt.eng, rInt.qp, rInt.core, DefaultCosts(), Interrupt), false, 5)
+	latInt := runSync(rInt, NewSyncStack(rInt.eng, rInt.qp, rInt.proc, DefaultCosts(), Interrupt), false, 5)
 	rPoll := prep()
-	latPoll := runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.core, DefaultCosts(), Poll), false, 5)
+	latPoll := runSync(rPoll, NewSyncStack(rPoll.eng, rPoll.qp, rPoll.proc, DefaultCosts(), Poll), false, 5)
 	if latPoll <= latInt {
 		t.Fatalf("long-op poll latency %v not above interrupt %v", latPoll, latInt)
 	}
@@ -223,7 +225,7 @@ func TestPollTickPenaltyOnLongOps(t *testing.T) {
 
 func TestAsyncStackOverlaps(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewAsyncStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewAsyncStack(r.eng, r.qp, r.proc, DefaultCosts())
 	const qd = 8
 	const total = 200
 	issued, completed := 0, 0
@@ -246,7 +248,7 @@ func TestAsyncStackOverlaps(t *testing.T) {
 	wall := r.eng.Now()
 	// With QD8 the run must be much faster than 200 serial I/Os.
 	rSerial := newRig(smallULL())
-	sSerial := NewAsyncStack(rSerial.eng, rSerial.qp, rSerial.core, DefaultCosts())
+	sSerial := NewAsyncStack(rSerial.eng, rSerial.qp, rSerial.proc, DefaultCosts())
 	done := 0
 	var serial func()
 	serial = func() {
@@ -267,7 +269,7 @@ func TestAsyncStackOverlaps(t *testing.T) {
 
 func TestAsyncUnknownCIDGuard(t *testing.T) {
 	r := newRig(smallULL())
-	s := NewAsyncStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewAsyncStack(r.eng, r.qp, r.proc, DefaultCosts())
 	s.Submit(true, 0, 4096, func() {})
 	r.eng.Run()
 	if s.Outstanding() != 0 {

@@ -3,8 +3,10 @@
 // fetch over PCIe, and MSI interrupt delivery (Section II-B2/II-B3 of the
 // paper).
 //
-// The host-side storage stacks (package kernel and package spdk) sit on
-// top of a QueuePair; the device side drives a ssd.Device.
+// The host-side storage stacks (packages kernel, spdk and uring) sit on
+// top of a QueuePair; the device side drives a ssd.Device. The stacks
+// that keep many commands in flight share one Ledger (host.go) for CID
+// tracking, doorbells and batched completion delivery.
 package nvme
 
 import (

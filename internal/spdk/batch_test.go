@@ -12,7 +12,7 @@ import (
 // way spdk_nvme_qpair_process_completions batches.
 func TestSPDKBatchDrain(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	const n = 12
 	completions := make([]sim.Time, 0, n)
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func TestSPDKBatchDrain(t *testing.T) {
 
 func TestSPDKFinalizeBeforeAnyIO(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	s.Finalize(100 * sim.Microsecond) // no I/O ever started: no-op
 	if r.core.Loads() != 0 {
 		t.Fatal("finalize charged an idle stack")
@@ -47,7 +47,7 @@ func TestSPDKFinalizeBeforeAnyIO(t *testing.T) {
 
 func TestSPDKSubmitChargesQpairCheck(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	done := false
 	s.Submit(true, 0, 4096, func() { done = true })
 	r.eng.Run()

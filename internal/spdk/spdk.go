@@ -8,32 +8,23 @@
 package spdk
 
 import (
-	"fmt"
-
 	"repro/internal/cpu"
 	"repro/internal/nvme"
 	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
-// StageCost mirrors kernel.StageCost for the userspace stack.
-type StageCost struct {
-	Time   sim.Time
-	Loads  uint64
-	Stores uint64
-}
-
 // Costs is the calibrated cost table of the SPDK datapath.
 type Costs struct {
-	AppSetup StageCost // benchmark user code (fio_plugin engine)
-	Submit   StageCost // SQE build in the huge page + doorbell MMIO
+	AppSetup cpu.Cost // benchmark user code (fio_plugin engine)
+	Submit   cpu.Cost // SQE build in the huge page + doorbell MMIO
 	// Per poll-loop iteration. SPDK walks the whole qpair state without
 	// blk-mq's cookie filtering, touching far more memory per iteration
 	// than nvme_poll (Figures 21/22).
-	IterProcess StageCost // spdk_nvme_qpair_process_completions
-	IterPCIe    StageCost // nvme_pcie_qpair_process_completions
-	IterCheck   StageCost // nvme_qpair_check_enabled (inline, guards resets)
-	Complete    StageCost // completion callback dispatch
+	IterProcess cpu.Cost // spdk_nvme_qpair_process_completions
+	IterPCIe    cpu.Cost // nvme_pcie_qpair_process_completions
+	IterCheck   cpu.Cost // nvme_qpair_check_enabled (inline, guards resets)
+	Complete    cpu.Cost // completion callback dispatch
 }
 
 // PollIter reports the duration of one full poll-loop iteration.
@@ -44,12 +35,12 @@ func (c *Costs) PollIter() sim.Time {
 // DefaultCosts returns the calibrated SPDK cost table.
 func DefaultCosts() Costs {
 	return Costs{
-		AppSetup:    StageCost{Time: 1000 * sim.Nanosecond, Loads: 320, Stores: 150},
-		Submit:      StageCost{Time: 380 * sim.Nanosecond, Loads: 90, Stores: 95},
-		IterProcess: StageCost{Time: 60 * sim.Nanosecond, Loads: 85, Stores: 40},
-		IterPCIe:    StageCost{Time: 40 * sim.Nanosecond, Loads: 50, Stores: 35},
-		IterCheck:   StageCost{Time: 20 * sim.Nanosecond, Loads: 45, Stores: 2},
-		Complete:    StageCost{Time: 200 * sim.Nanosecond, Loads: 70, Stores: 40},
+		AppSetup:    cpu.Cost{Time: 1000 * sim.Nanosecond, Loads: 320, Stores: 150},
+		Submit:      cpu.Cost{Time: 380 * sim.Nanosecond, Loads: 90, Stores: 95},
+		IterProcess: cpu.Cost{Time: 60 * sim.Nanosecond, Loads: 85, Stores: 40},
+		IterPCIe:    cpu.Cost{Time: 40 * sim.Nanosecond, Loads: 50, Stores: 35},
+		IterCheck:   cpu.Cost{Time: 20 * sim.Nanosecond, Loads: 45, Stores: 2},
+		Complete:    cpu.Cost{Time: 200 * sim.Nanosecond, Loads: 70, Stores: 40},
 	}
 }
 
@@ -57,20 +48,12 @@ func DefaultCosts() Costs {
 // outstanding (fio_plugin drives queue depth from userspace).
 type Stack struct {
 	eng   *sim.Engine
-	qp    *nvme.QueuePair
 	proc  *cpu.Proc
 	costs Costs
 	pr    *probe.Probe
+	led   *nvme.Ledger
 
-	// pending is a direct-mapped CID table (the CID space is uint16, so
-	// the table covers it fully — no hashing, no collisions).
-	pending   []func()
-	nOut      int
-	freeReq   *spdkReq   // recycled submission contexts
-	freeBatch *doneBatch // recycled completion batches
-	drainFn   func()     // bound once: batch-process visible CQEs
-	deliverFn func(any)  // bound once: deliver one drained batch
-	nextCID   uint16
+	drainFn func() // bound once: batch-process visible CQEs
 
 	started    bool
 	firstStart sim.Time
@@ -78,67 +61,18 @@ type Stack struct {
 	finalized  bool
 }
 
-// spdkReq carries one submission across the doorbell delay; fn is bound
-// once and the object recycles itself right after ringing (the queue pair
-// copies everything it needs synchronously).
-type spdkReq struct {
-	s      *Stack
-	write  bool
-	flush  bool // device flush barrier instead of a data transfer
-	offset int64
-	length int
-	cid    uint16
-	span   *probe.Span
-	fn     func()
-	next   *spdkReq
-}
-
-// getReq takes a submission context from the free list; the submit
-// closure bound on first allocation recycles it right after ringing
-// the doorbell, so there is no separate put helper.
-//
-//ullvet:pool get
-func (s *Stack) getReq() *spdkReq {
-	r := s.freeReq
-	if r == nil {
-		r = &spdkReq{s: s}
-		r.fn = func() {
-			r.s.pr.SetSpan(r.span)
-			if r.flush {
-				r.s.qp.SubmitFlush(r.cid)
-			} else {
-				r.s.qp.Submit(r.write, r.offset, r.length, r.cid)
-			}
-			r.span = nil
-			r.next = r.s.freeReq
-			r.s.freeReq = r
-		}
-		return r
-	}
-	s.freeReq = r.next
-	r.next = nil
-	return r
-}
-
-// NewStack wires an SPDK stack onto a queue pair using the legacy
-// single-core accounting model; interrupts are disabled permanently
-// (userspace cannot service them).
-func NewStack(eng *sim.Engine, qp *nvme.QueuePair, core *cpu.Core, costs Costs) *Stack {
-	return NewStackOn(eng, qp, cpu.SoloProc(core), costs)
-}
-
-// NewStackOn wires an SPDK stack onto a queue pair, executing on the
-// given core handle. The reactor pins its core outright — SPDK's
+// NewStack wires an SPDK stack onto a queue pair, executing on the
+// given core handle; interrupts are disabled permanently (userspace
+// cannot service them). The reactor pins its core outright — SPDK's
 // thread-per-core model — so topology lowering keeps other stacks off it
 // when the core set arbitrates.
-func NewStackOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs) *Stack {
+func NewStack(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs) *Stack {
 	s := &Stack{
-		eng:     eng,
-		qp:      qp,
-		proc:    proc,
-		costs:   costs,
-		pr:      probe.Get(eng),
-		pending: make([]func(), 1<<16),
+		eng:   eng,
+		proc:  proc,
+		costs: costs,
+		pr:    probe.Get(eng),
+		led:   nvme.NewLedger(eng, qp, "spdk"),
 	}
 	if proc.Set().Arbitrating() {
 		proc.Pin()
@@ -146,12 +80,7 @@ func NewStackOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, costs Costs
 	qp.EnableInterrupts(false)
 	qp.SetCompletionHook(s.onVisible)
 	s.drainFn = s.drain
-	s.deliverFn = s.deliver
 	return s
-}
-
-func (s *Stack) charge(fn cpu.Fn, c StageCost) {
-	s.proc.Charge(fn, c.Time, c.Loads, c.Stores)
 }
 
 // Submit issues one I/O through the userspace driver.
@@ -172,38 +101,22 @@ func (s *Stack) begin(write, flush bool, offset int64, length int, done func()) 
 		s.started = true
 		s.firstStart = s.eng.Now()
 	}
-	s.charge(cpu.FnAppUser, s.costs.AppSetup)
-	s.charge(cpu.FnSPDKSubmit, s.costs.Submit)
+	s.proc.Pay(cpu.FnAppUser, s.costs.AppSetup)
+	s.proc.Pay(cpu.FnSPDKSubmit, s.costs.Submit)
 	// Every submission re-validates the qpair (controller-reset guard).
-	s.charge(cpu.FnQpairCheck, s.costs.IterCheck)
+	s.proc.Pay(cpu.FnQpairCheck, s.costs.IterCheck)
 
-	r := s.getReq()
-	r.write = write
-	r.flush = flush
-	r.offset = offset
-	r.length = length
-	r.cid = s.nextCID
-	r.span = sp
-	s.nextCID++
-	if s.pending[r.cid] != nil {
-		panic(fmt.Sprintf("spdk: CID %d reused while outstanding", r.cid))
-	}
-	s.pending[r.cid] = done
-	s.nOut++
+	cid := s.led.Track(done)
 	delay := s.costs.AppSetup.Time + s.costs.Submit.Time + s.costs.IterCheck.Time
-	s.eng.After(delay, r.fn)
+	s.led.Ring(s.eng.Now()+delay, nvme.Cmd{Write: write, Flush: flush, Offset: offset, Length: length, CID: cid, Span: sp})
 }
 
 // onVisible quantizes completion detection to the poll-loop iteration
 // grid. A single drain event handles every CQE visible by that boundary,
 // matching SPDK's batch completion processing.
 func (s *Stack) onVisible() {
-	iter := s.costs.PollIter()
 	now := s.eng.Now()
-	boundary := ((now + iter - 1) / iter) * iter
-	if boundary == now {
-		boundary += iter
-	}
+	boundary := nvme.PollBoundary(now, now, s.costs.PollIter())
 	if s.drainAt >= boundary {
 		return // a drain is already scheduled at or after this boundary
 	}
@@ -212,83 +125,24 @@ func (s *Stack) onVisible() {
 }
 
 // drain batch-processes every CQE visible at the poll-loop boundary.
+// Every drained CQE observes the same completion-processing delay, so
+// the whole batch rides one delivery event.
 func (s *Stack) drain() {
 	s.drainAt = 0
-	var b *doneBatch
-	for {
-		cid, ok := s.qp.Poll()
-		if !ok {
-			break
-		}
-		done := s.pending[cid]
-		if done == nil {
-			panic(fmt.Sprintf("spdk: completion for unknown CID %d", cid))
-		}
-		s.pending[cid] = nil
-		s.nOut--
-		s.charge(cpu.FnSPDKProcess, s.costs.Complete)
-		if b == nil {
-			b = s.getBatch()
-		}
-		b.dones = append(b.dones, done)
+	for s.led.Reap() {
+		s.proc.Pay(cpu.FnSPDKProcess, s.costs.Complete)
 	}
-	if b == nil {
-		return
-	}
-	// Every drained CQE observes the same completion-processing delay,
-	// so the whole batch rides one scheduled event; running the dones in
-	// drain order preserves the firing order the per-CQE events had.
-	s.eng.AfterArg(s.costs.Complete.Time, s.deliverFn, b)
-}
-
-// doneBatch carries every completion drained at one poll boundary
-// through the completion-processing delay as a single scheduled event.
-type doneBatch struct {
-	dones []func()
-	next  *doneBatch
-}
-
-// getBatch takes a completion batch from the free list.
-//
-//ullvet:pool get
-func (s *Stack) getBatch() *doneBatch {
-	b := s.freeBatch
-	if b == nil {
-		return &doneBatch{}
-	}
-	s.freeBatch = b.next
-	b.next = nil
-	return b
-}
-
-// putBatch empties a delivered batch and returns it to the free list.
-//
-//ullvet:pool put
-func (s *Stack) putBatch(b *doneBatch) {
-	b.dones = b.dones[:0]
-	b.next = s.freeBatch
-	s.freeBatch = b
-}
-
-// deliver runs one drained batch after the completion-processing delay.
-func (s *Stack) deliver(arg any) {
-	b := arg.(*doneBatch)
-	for i := 0; i < len(b.dones); i++ {
-		fn := b.dones[i]
-		b.dones[i] = nil
-		fn()
-	}
-	s.putBatch(b)
+	s.led.Deliver(s.costs.Complete.Time)
 }
 
 // Outstanding reports in-flight I/Os.
-func (s *Stack) Outstanding() int { return s.nOut }
+func (s *Stack) Outstanding() int { return s.led.Outstanding() }
 
 // Finalize charges the continuous poll spin for the whole active span
 // [first submit, end]. SPDK's reactor never sleeps: between and during
 // I/Os the loop keeps checking the qpair, which is where its CPU and
 // memory-instruction bills come from (Figures 20-22). Call once, at the
-// end of a run.
+// end of a run; a free (zero-cost) loop charges nothing.
 func (s *Stack) Finalize(end sim.Time) {
 	if s.finalized || !s.started || end <= s.firstStart {
 		return
@@ -303,14 +157,11 @@ func (s *Stack) Finalize(end sim.Time) {
 	if span <= 0 {
 		return
 	}
-	iters := int64(span / s.costs.PollIter())
+	iters := nvme.PollIters(span, s.costs.PollIter())
 	if iters <= 0 {
 		return
 	}
-	chargeIter := func(fn cpu.Fn, c StageCost) {
-		s.proc.Charge(fn, c.Time*sim.Time(iters), c.Loads*uint64(iters), c.Stores*uint64(iters))
-	}
-	chargeIter(cpu.FnSPDKProcess, s.costs.IterProcess)
-	chargeIter(cpu.FnPCIeProcess, s.costs.IterPCIe)
-	chargeIter(cpu.FnQpairCheck, s.costs.IterCheck)
+	s.proc.PayN(cpu.FnSPDKProcess, s.costs.IterProcess, iters)
+	s.proc.PayN(cpu.FnPCIeProcess, s.costs.IterPCIe, iters)
+	s.proc.PayN(cpu.FnQpairCheck, s.costs.IterCheck, iters)
 }

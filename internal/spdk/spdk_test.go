@@ -29,13 +29,15 @@ type rig struct {
 	dev  *ssd.Device
 	qp   *nvme.QueuePair
 	core *cpu.Core
+	proc *cpu.Proc // solo (non-arbitrating) handle on core
 }
 
 func newRig() *rig {
 	eng := sim.NewEngine()
 	dev := ssd.NewDevice(smallULL(), eng)
 	qp := nvme.New(eng, dev, nvme.DefaultConfig())
-	return &rig{eng: eng, dev: dev, qp: qp, core: cpu.NewCore()}
+	core := cpu.NewCore()
+	return &rig{eng: eng, dev: dev, qp: qp, core: core, proc: cpu.SoloProc(core)}
 }
 
 func runSerial(r *rig, submit func(bool, int64, int, func()), n int) sim.Time {
@@ -59,7 +61,7 @@ func runSerial(r *rig, submit func(bool, int64, int, func()), n int) sim.Time {
 
 func TestSPDKCompletes(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	lat := runSerial(r, s.Submit, 20)
 	if lat <= 0 || lat > 60*sim.Microsecond {
 		t.Fatalf("SPDK latency %v outside sanity window", lat)
@@ -72,11 +74,11 @@ func TestSPDKCompletes(t *testing.T) {
 func TestSPDKFasterThanKernelInterrupt(t *testing.T) {
 	// Kernel interrupt stack vs SPDK stack on the same device model.
 	rInt := newRig()
-	kStack := kernel.NewSyncStack(rInt.eng, rInt.qp, rInt.core, kernel.DefaultCosts(), kernel.Interrupt)
+	kStack := kernel.NewSyncStack(rInt.eng, rInt.qp, rInt.proc, kernel.DefaultCosts(), kernel.Interrupt)
 	latInt := runSerial(rInt, kStack.Submit, 50)
 
 	rSPDK := newRig()
-	sStack := NewStack(rSPDK.eng, rSPDK.qp, rSPDK.core, DefaultCosts())
+	sStack := NewStack(rSPDK.eng, rSPDK.qp, rSPDK.proc, DefaultCosts())
 	latSPDK := runSerial(rSPDK, sStack.Submit, 50)
 
 	if latSPDK >= latInt {
@@ -90,7 +92,7 @@ func TestSPDKFasterThanKernelInterrupt(t *testing.T) {
 
 func TestSPDKNoKernelTime(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	runSerial(r, s.Submit, 20)
 	s.Finalize(r.eng.Now())
 	if r.core.KernelTime() != 0 {
@@ -103,7 +105,7 @@ func TestSPDKNoKernelTime(t *testing.T) {
 
 func TestSPDKFinalizeSaturatesCPU(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	runSerial(r, s.Submit, 50)
 	s.Finalize(r.eng.Now())
 	u := r.core.Utilization(r.eng.Now())
@@ -117,7 +119,7 @@ func TestSPDKFinalizeSaturatesCPU(t *testing.T) {
 
 func TestSPDKFinalizeIdempotent(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	runSerial(r, s.Submit, 5)
 	s.Finalize(r.eng.Now())
 	loads := r.core.Loads()
@@ -129,11 +131,11 @@ func TestSPDKFinalizeIdempotent(t *testing.T) {
 
 func TestSPDKMoreMemoryInstructionsThanKernelPoll(t *testing.T) {
 	rPoll := newRig()
-	kStack := kernel.NewSyncStack(rPoll.eng, rPoll.qp, rPoll.core, kernel.DefaultCosts(), kernel.Poll)
+	kStack := kernel.NewSyncStack(rPoll.eng, rPoll.qp, rPoll.proc, kernel.DefaultCosts(), kernel.Poll)
 	runSerial(rPoll, kStack.Submit, 50)
 
 	rSPDK := newRig()
-	sStack := NewStack(rSPDK.eng, rSPDK.qp, rSPDK.core, DefaultCosts())
+	sStack := NewStack(rSPDK.eng, rSPDK.qp, rSPDK.proc, DefaultCosts())
 	runSerial(rSPDK, sStack.Submit, 50)
 	sStack.Finalize(rSPDK.eng.Now())
 
@@ -147,7 +149,7 @@ func TestSPDKMoreMemoryInstructionsThanKernelPoll(t *testing.T) {
 
 func TestSPDKQueueDepthOverlap(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	const qd, total = 8, 100
 	issued, completed := 0, 0
 	var pump func()
@@ -170,7 +172,7 @@ func TestSPDKQueueDepthOverlap(t *testing.T) {
 
 func TestSPDKPollFunctionBreakdown(t *testing.T) {
 	r := newRig()
-	s := NewStack(r.eng, r.qp, r.core, DefaultCosts())
+	s := NewStack(r.eng, r.qp, r.proc, DefaultCosts())
 	runSerial(r, s.Submit, 50)
 	s.Finalize(r.eng.Now())
 	proc := r.core.Acct(cpu.FnSPDKProcess).Loads

@@ -63,40 +63,33 @@ func ParseMode(s string) (Mode, bool) {
 	}
 }
 
-// StageCost mirrors kernel.StageCost for the io_uring path.
-type StageCost struct {
-	Time   sim.Time
-	Loads  uint64
-	Stores uint64
-}
-
 // Costs is the calibrated cost table of the io_uring datapath.
 type Costs struct {
 	// Submission.
-	Prep      StageCost // SQE fill-in in the shared ring (user code)
-	Enter     StageCost // io_uring_enter syscall shell, once per batch
-	SubmitSQE StageCost // per-SQE fetch, io_kiocb setup, blk-mq+NVMe fast path
+	Prep      cpu.Cost // SQE fill-in in the shared ring (user code)
+	Enter     cpu.Cost // io_uring_enter syscall shell, once per batch
+	SubmitSQE cpu.Cost // per-SQE fetch, io_kiocb setup, blk-mq+NVMe fast path
 
 	// Completion.
-	ReapCQE   StageCost // per-CQE posting + app-side completion handling
-	ISR       StageCost // MSI handling, once per interrupt (not per CQE)
-	CtxSwitch StageCost // sleep/wake pair around the enter wait
+	ReapCQE   cpu.Cost // per-CQE posting + app-side completion handling
+	ISR       cpu.Cost // MSI handling, once per interrupt (not per CQE)
+	CtxSwitch cpu.Cost // sleep/wake pair around the enter wait
 
 	// IOPOLL iteration: the same blk_mq_poll/nvme_poll walk the classic
 	// polled path pays, entered from io_iopoll_check.
-	PollIterBlk  StageCost
-	PollIterNVMe StageCost
+	PollIterBlk  cpu.Cost
+	PollIterNVMe cpu.Cost
 
 	// SQPOLL: one io_sq_thread loop iteration (SQ check + IOPOLL drain),
 	// and the app-side lock-free CQ peek that replaces the reap syscall.
-	SQPollIter StageCost
-	SQPollPeek StageCost
+	SQPollIter cpu.Cost
+	SQPollPeek cpu.Cost
 
 	// Adaptive hybrid polling: the hrtimer costs match the kernel path;
 	// the delay itself is tuned by AIMD between the bounds below rather
 	// than fixed at half the tracked mean.
-	TimerProgram    StageCost
-	TimerWake       StageCost
+	TimerProgram    cpu.Cost
+	TimerWake       cpu.Cost
 	HybridDelayInit sim.Time
 	HybridMinDelay  sim.Time
 	HybridMaxDelay  sim.Time
@@ -116,22 +109,22 @@ func (c *Costs) PollIter() sim.Time {
 // interrupt instead of per completion.
 func DefaultCosts() Costs {
 	return Costs{
-		Prep:      StageCost{Time: 350 * sim.Nanosecond, Loads: 100, Stores: 70},
-		Enter:     StageCost{Time: 250 * sim.Nanosecond, Loads: 80, Stores: 50},
-		SubmitSQE: StageCost{Time: 550 * sim.Nanosecond, Loads: 160, Stores: 120},
+		Prep:      cpu.Cost{Time: 350 * sim.Nanosecond, Loads: 100, Stores: 70},
+		Enter:     cpu.Cost{Time: 250 * sim.Nanosecond, Loads: 80, Stores: 50},
+		SubmitSQE: cpu.Cost{Time: 550 * sim.Nanosecond, Loads: 160, Stores: 120},
 
-		ReapCQE:   StageCost{Time: 300 * sim.Nanosecond, Loads: 70, Stores: 45},
-		ISR:       StageCost{Time: 400 * sim.Nanosecond, Loads: 120, Stores: 60},
-		CtxSwitch: StageCost{Time: 500 * sim.Nanosecond, Loads: 90, Stores: 80},
+		ReapCQE:   cpu.Cost{Time: 300 * sim.Nanosecond, Loads: 70, Stores: 45},
+		ISR:       cpu.Cost{Time: 400 * sim.Nanosecond, Loads: 120, Stores: 60},
+		CtxSwitch: cpu.Cost{Time: 500 * sim.Nanosecond, Loads: 90, Stores: 80},
 
-		PollIterBlk:  StageCost{Time: 80 * sim.Nanosecond, Loads: 11, Stores: 4},
-		PollIterNVMe: StageCost{Time: 20 * sim.Nanosecond, Loads: 5, Stores: 1},
+		PollIterBlk:  cpu.Cost{Time: 80 * sim.Nanosecond, Loads: 11, Stores: 4},
+		PollIterNVMe: cpu.Cost{Time: 20 * sim.Nanosecond, Loads: 5, Stores: 1},
 
-		SQPollIter: StageCost{Time: 180 * sim.Nanosecond, Loads: 30, Stores: 6},
-		SQPollPeek: StageCost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 10},
+		SQPollIter: cpu.Cost{Time: 180 * sim.Nanosecond, Loads: 30, Stores: 6},
+		SQPollPeek: cpu.Cost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 10},
 
-		TimerProgram:    StageCost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 30},
-		TimerWake:       StageCost{Time: 650 * sim.Nanosecond, Loads: 110, Stores: 70},
+		TimerProgram:    cpu.Cost{Time: 150 * sim.Nanosecond, Loads: 40, Stores: 30},
+		TimerWake:       cpu.Cost{Time: 650 * sim.Nanosecond, Loads: 110, Stores: 70},
 		HybridDelayInit: 5 * sim.Microsecond,
 		HybridMinDelay:  1 * sim.Microsecond,
 		HybridMaxDelay:  50 * sim.Microsecond,
@@ -140,39 +133,32 @@ func DefaultCosts() Costs {
 
 // Config selects an io_uring stack variant.
 type Config struct {
-	Mode    Mode
-	SQDepth int    // SQ ring entries; a full ring forces an early flush (0 = 256)
-	Costs   *Costs // nil = DefaultCosts
+	Mode  Mode
+	Costs *Costs // nil = DefaultCosts
 }
+
+// sqDepth is the SQ ring's entry count; a full ring forces an early
+// flush.
+const sqDepth = 256
 
 // Stack is one io_uring instance on a queue pair. Any number of I/Os may
 // be outstanding up to the device queue depth.
 type Stack struct {
 	eng    *sim.Engine
-	qp     *nvme.QueuePair
 	proc   *cpu.Proc // submitter (application) core
 	sqProc *cpu.Proc // SQPOLL thread core; == proc outside SQPOLL
 	costs  Costs
 	mode   Mode
-	depth  int
 	pr     *probe.Probe
 	sqTrk  string // SQPOLL background trace track
-
-	// pending is a direct-mapped CID table (the CID space is uint16, so
-	// the table covers it fully — no hashing, no collisions).
-	pending []func()
-	nOut    int
-	nextCID uint16
+	led    *nvme.Ledger
 
 	// sq is the batch of SQEs prepped since the last ring flush; the
 	// flush event is armed by the first prep of a batch.
-	sq         []sqe
+	sq         []nvme.Cmd
 	flushArmed bool
 	flushFn    func()
-	freeReq    *uringReq  // recycled doorbell contexts
-	freeBatch  *doneBatch // recycled completion batches
-	drainFn    func()     // bound once: batch-reap visible CQEs
-	deliverFn  func(any)  // bound once: deliver one reaped batch
+	drainFn    func() // bound once: batch-reap visible CQEs
 
 	// Poll/hybrid state.
 	pollSince sim.Time // spin window start; 0 = not spinning
@@ -186,121 +172,29 @@ type Stack struct {
 	finalized  bool
 }
 
-type sqe struct {
-	write  bool
-	flush  bool // fsync barrier SQE instead of a data transfer
-	offset int64
-	length int
-	cid    uint16
-	span   *probe.Span
-}
-
-// uringReq carries one SQE across the doorbell delay; fn is bound once
-// and the object recycles itself right after ringing.
-type uringReq struct {
-	s      *Stack
-	write  bool
-	flush  bool
-	offset int64
-	length int
-	cid    uint16
-	span   *probe.Span
-	fn     func()
-	next   *uringReq
-}
-
-// getReq takes a submission context from the free list; the submit
-// closure bound on first allocation recycles it right after ringing
-// the doorbell, so there is no separate put helper.
-//
-//ullvet:pool get
-func (s *Stack) getReq() *uringReq {
-	r := s.freeReq
-	if r == nil {
-		r = &uringReq{s: s}
-		r.fn = func() {
-			r.s.pr.SetSpan(r.span)
-			if r.flush {
-				r.s.qp.SubmitFlush(r.cid)
-			} else {
-				r.s.qp.Submit(r.write, r.offset, r.length, r.cid)
-			}
-			r.span = nil
-			r.next = r.s.freeReq
-			r.s.freeReq = r
-		}
-		return r
-	}
-	s.freeReq = r.next
-	r.next = nil
-	return r
-}
-
-// doneBatch carries every completion reaped in one pass through the
-// delivery delay as a single scheduled event.
-type doneBatch struct {
-	dones []func()
-	next  *doneBatch
-}
-
-// getBatch takes a completion batch from the free list.
-//
-//ullvet:pool get
-func (s *Stack) getBatch() *doneBatch {
-	b := s.freeBatch
-	if b == nil {
-		return &doneBatch{}
-	}
-	s.freeBatch = b.next
-	b.next = nil
-	return b
-}
-
-// putBatch empties a delivered batch and returns it to the free list.
-//
-//ullvet:pool put
-func (s *Stack) putBatch(b *doneBatch) {
-	b.dones = b.dones[:0]
-	b.next = s.freeBatch
-	s.freeBatch = b
-}
-
-// New wires an io_uring stack onto a queue pair using the legacy
-// single-core accounting model. In SQPOLL mode the kernel thread's work
-// lands on the same accounting core as the submitter — the over-
+// New wires an io_uring stack onto a queue pair, executing on the given
+// core handle. sqProc, when non-nil, is the dedicated core of the
+// SQPOLL kernel thread (pinned, like an SPDK reactor); nil runs the
+// thread on the submitter's core, where on a one-core set the over-
 // subscription shows up in Utilization.Oversub rather than on a second
 // core.
-func New(eng *sim.Engine, qp *nvme.QueuePair, core *cpu.Core, cfg Config) *Stack {
-	return NewOn(eng, qp, cpu.SoloProc(core), nil, cfg)
-}
-
-// NewOn wires an io_uring stack onto a queue pair, executing on the
-// given core handle. sqProc, when non-nil, is the dedicated core of the
-// SQPOLL kernel thread (pinned, like an SPDK reactor); nil runs the
-// thread on the submitter's core.
-func NewOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, sqProc *cpu.Proc, cfg Config) *Stack {
+func New(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, sqProc *cpu.Proc, cfg Config) *Stack {
 	costs := DefaultCosts()
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
-	}
-	depth := cfg.SQDepth
-	if depth <= 0 {
-		depth = 256
 	}
 	if sqProc == nil || cfg.Mode != SQPoll {
 		sqProc = proc
 	}
 	s := &Stack{
-		eng:     eng,
-		qp:      qp,
-		proc:    proc,
-		sqProc:  sqProc,
-		costs:   costs,
-		mode:    cfg.Mode,
-		depth:   depth,
-		pr:      probe.Get(eng),
-		pending: make([]func(), 1<<16),
-		delay:   costs.HybridDelayInit,
+		eng:    eng,
+		proc:   proc,
+		sqProc: sqProc,
+		costs:  costs,
+		mode:   cfg.Mode,
+		pr:     probe.Get(eng),
+		led:    nvme.NewLedger(eng, qp, "uring"),
+		delay:  costs.HybridDelayInit,
 	}
 	if s.pr != nil && cfg.Mode == SQPoll {
 		s.sqTrk = s.pr.Name("uring") + "/sqpoll"
@@ -310,7 +204,6 @@ func NewOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, sqProc *cpu.Proc
 	}
 	s.flushFn = s.flush
 	s.drainFn = s.drain
-	s.deliverFn = s.deliver
 	if cfg.Mode == Interrupt {
 		qp.EnableInterrupts(true)
 		qp.SetMSIHandler(s.onMSI)
@@ -323,10 +216,6 @@ func NewOn(eng *sim.Engine, qp *nvme.QueuePair, proc *cpu.Proc, sqProc *cpu.Proc
 
 // Mode reports the configured completion mode.
 func (s *Stack) Mode() Mode { return s.mode }
-
-func (s *Stack) charge(p *cpu.Proc, fn cpu.Fn, c StageCost) {
-	p.Charge(fn, c.Time, c.Loads, c.Stores)
-}
 
 // Submit preps one I/O SQE; the ring flush armed by the first prep of a
 // batch submits every SQE prepped before it fires.
@@ -347,18 +236,12 @@ func (s *Stack) begin(write, flush bool, offset int64, length int, done func()) 
 		s.started = true
 		s.firstStart = s.eng.Now()
 	}
-	s.charge(s.proc, cpu.FnAppUser, s.costs.Prep)
+	s.proc.Pay(cpu.FnAppUser, s.costs.Prep)
 
-	cid := s.nextCID
-	s.nextCID++
-	if s.pending[cid] != nil {
-		panic(fmt.Sprintf("uring: CID %d reused while outstanding", cid))
-	}
-	s.pending[cid] = done
-	s.nOut++
-	s.sq = append(s.sq, sqe{write: write, flush: flush, offset: offset, length: length, cid: cid, span: s.pr.TakeSpan()})
+	cid := s.led.Track(done)
+	s.sq = append(s.sq, nvme.Cmd{Write: write, Flush: flush, Offset: offset, Length: length, CID: cid, Span: s.pr.TakeSpan()})
 
-	if len(s.sq) >= s.depth {
+	if len(s.sq) >= sqDepth {
 		// SQ ring full: forced flush, no batching benefit left to wait for.
 		s.flush()
 		return
@@ -381,32 +264,29 @@ func (s *Stack) flush() {
 		return
 	}
 	now := s.eng.Now()
-	wasIdle := s.nOut == n
+	wasIdle := s.led.Outstanding() == n
 
 	var doorbell sim.Time // time of the first doorbell
 	if s.mode == SQPoll {
 		// Next io_sq_thread iteration boundary, strictly after now.
-		iter := s.costs.SQPollIter.Time
-		pick := ((now + iter - 1) / iter) * iter
-		if pick == now {
-			pick += iter
-		}
+		pick := nvme.PollBoundary(now, now, s.costs.SQPollIter.Time)
 		for i := range s.sq {
-			s.charge(s.sqProc, cpu.FnUringSubmit, s.costs.SubmitSQE)
-			s.ring(&s.sq[i], pick+sim.Time(i+1)*s.costs.SubmitSQE.Time)
+			s.sqProc.Pay(cpu.FnUringSubmit, s.costs.SubmitSQE)
+			s.led.Ring(pick+sim.Time(i+1)*s.costs.SubmitSQE.Time, s.sq[i])
 		}
 		doorbell = pick + s.costs.SubmitSQE.Time
 	} else {
 		start := s.proc.Claim(now)
-		s.charge(s.proc, cpu.FnSyscall, s.costs.Enter)
+		s.proc.Pay(cpu.FnSyscall, s.costs.Enter)
 		for i := range s.sq {
-			s.charge(s.proc, cpu.FnUringSubmit, s.costs.SubmitSQE)
-			s.ring(&s.sq[i], start+s.costs.Enter.Time+sim.Time(i+1)*s.costs.SubmitSQE.Time)
+			s.proc.Pay(cpu.FnUringSubmit, s.costs.SubmitSQE)
+			s.led.Ring(start+s.costs.Enter.Time+sim.Time(i+1)*s.costs.SubmitSQE.Time, s.sq[i])
 		}
 		end := start + s.costs.Enter.Time + sim.Time(n)*s.costs.SubmitSQE.Time
 		s.proc.Hold(start, end)
 		doorbell = start + s.costs.Enter.Time + s.costs.SubmitSQE.Time
 	}
+	clear(s.sq) // the doorbells own the spans now
 	s.sq = s.sq[:0]
 
 	switch s.mode {
@@ -417,7 +297,7 @@ func (s *Stack) flush() {
 	case Hybrid:
 		if wasIdle {
 			// Arm the adaptive sleep; the poll loop starts at the wakeup.
-			s.charge(s.proc, cpu.FnTimer, s.costs.TimerProgram)
+			s.proc.Pay(cpu.FnTimer, s.costs.TimerProgram)
 			s.wakeAt = doorbell + s.delay
 			s.firstSeen = 0
 			s.pollSince = 0
@@ -425,53 +305,25 @@ func (s *Stack) flush() {
 	}
 }
 
-// ring schedules one SQE's doorbell at the given time.
-func (s *Stack) ring(e *sqe, at sim.Time) {
-	r := s.getReq()
-	r.write = e.write
-	r.flush = e.flush
-	r.offset = e.offset
-	r.length = e.length
-	r.cid = e.cid
-	r.span = e.span
-	e.span = nil
-	s.eng.At(at, r.fn)
-}
-
 // onMSI is the interrupt-mode completion: ONE ISR + context switch per
 // interrupt reaps every visible CQE — the batching libaio's per-CQE
 // charge lacks.
 func (s *Stack) onMSI() {
-	var b *doneBatch
 	n := 0
-	for {
-		cid, ok := s.qp.Poll()
-		if !ok {
-			break
-		}
-		done := s.pending[cid]
-		if done == nil {
-			panic(fmt.Sprintf("uring: completion for unknown CID %d", cid))
-		}
-		s.pending[cid] = nil
-		s.nOut--
-		s.charge(s.proc, cpu.FnUringReap, s.costs.ReapCQE)
-		if b == nil {
-			b = s.getBatch()
-		}
-		b.dones = append(b.dones, done)
+	for s.led.Reap() {
+		s.proc.Pay(cpu.FnUringReap, s.costs.ReapCQE)
 		n++
 	}
-	if b == nil {
+	if n == 0 {
 		return
 	}
-	s.charge(s.proc, cpu.FnISR, s.costs.ISR)
-	s.charge(s.proc, cpu.FnCtxSwitch, s.costs.CtxSwitch)
+	s.proc.Pay(cpu.FnISR, s.costs.ISR)
+	s.proc.Pay(cpu.FnCtxSwitch, s.costs.CtxSwitch)
 	reap := s.costs.ISR.Time + s.costs.CtxSwitch.Time + sim.Time(n)*s.costs.ReapCQE.Time
 	now := s.eng.Now()
 	extra := s.proc.Wake(now)
 	s.proc.Hold(now+extra, now+extra+reap)
-	s.eng.AfterArg(extra+reap, s.deliverFn, b)
+	s.led.Deliver(extra + reap)
 }
 
 // onVisible quantizes detection to the poll-loop grid (IOPOLL iteration
@@ -490,10 +342,7 @@ func (s *Stack) onVisible() {
 	if s.mode == Hybrid && s.wakeAt > at {
 		at = s.wakeAt
 	}
-	boundary := ((at + iter - 1) / iter) * iter
-	if boundary <= now {
-		boundary += iter
-	}
+	boundary := nvme.PollBoundary(now, at, iter)
 	if s.drainAt != 0 && s.drainAt >= boundary {
 		return // a drain is already scheduled at or after this boundary
 	}
@@ -512,7 +361,7 @@ func (s *Stack) drain() {
 	}
 
 	if s.mode == Hybrid && s.wakeAt != 0 {
-		s.charge(s.proc, cpu.FnTimer, s.costs.TimerWake)
+		s.proc.Pay(cpu.FnTimer, s.costs.TimerWake)
 		// AIMD retune: a CQE that arrived mid-sleep means the delay
 		// overshot (multiplicative decrease); otherwise the spin between
 		// wakeup and detection was pure burn (additive increase).
@@ -531,24 +380,9 @@ func (s *Stack) drain() {
 		s.wakeAt = 0
 	}
 
-	var b *doneBatch
 	n := 0
-	for {
-		cid, ok := s.qp.Poll()
-		if !ok {
-			break
-		}
-		done := s.pending[cid]
-		if done == nil {
-			panic(fmt.Sprintf("uring: completion for unknown CID %d", cid))
-		}
-		s.pending[cid] = nil
-		s.nOut--
-		s.charge(reapProc, cpu.FnUringReap, s.costs.ReapCQE)
-		if b == nil {
-			b = s.getBatch()
-		}
-		b.dones = append(b.dones, done)
+	for s.led.Reap() {
+		reapProc.Pay(cpu.FnUringReap, s.costs.ReapCQE)
 		n++
 	}
 
@@ -556,48 +390,34 @@ func (s *Stack) drain() {
 	// continuous loop is charged in Finalize instead; here only the
 	// submitter-side modes burn their own core.
 	if s.mode != SQPoll && s.pollSince != 0 && boundary > s.pollSince {
-		iters := int64((boundary - s.pollSince) / s.costs.PollIter())
-		if iters > 0 {
-			s.proc.Charge(cpu.FnBlkMQPoll, s.costs.PollIterBlk.Time*sim.Time(iters),
-				s.costs.PollIterBlk.Loads*uint64(iters), s.costs.PollIterBlk.Stores*uint64(iters))
-			s.proc.Charge(cpu.FnNVMePoll, s.costs.PollIterNVMe.Time*sim.Time(iters),
-				s.costs.PollIterNVMe.Loads*uint64(iters), s.costs.PollIterNVMe.Stores*uint64(iters))
+		if iters := nvme.PollIters(boundary-s.pollSince, s.costs.PollIter()); iters > 0 {
+			s.proc.PayN(cpu.FnBlkMQPoll, s.costs.PollIterBlk, iters)
+			s.proc.PayN(cpu.FnNVMePoll, s.costs.PollIterNVMe, iters)
 		}
 		s.proc.Spin(s.pollSince, boundary)
 	}
-	if s.nOut > 0 {
+	if s.led.Outstanding() > 0 {
 		s.pollSince = boundary
 	} else {
 		s.pollSince = 0
 		s.firstSeen = 0
 	}
 
-	if b == nil {
+	if n == 0 {
 		return
 	}
 	delay := s.costs.ReapCQE.Time
 	if s.mode == SQPoll {
 		// The app discovers the CQEs with a lock-free ring peek, no
 		// syscall; the peek runs on the submitter's core.
-		s.charge(s.proc, cpu.FnAppUser, s.costs.SQPollPeek)
+		s.proc.Pay(cpu.FnAppUser, s.costs.SQPollPeek)
 		delay += s.costs.SQPollPeek.Time
 	}
-	s.eng.AfterArg(delay, s.deliverFn, b)
-}
-
-// deliver runs one reaped batch after the delivery delay.
-func (s *Stack) deliver(arg any) {
-	b := arg.(*doneBatch)
-	for i := 0; i < len(b.dones); i++ {
-		fn := b.dones[i]
-		b.dones[i] = nil
-		fn()
-	}
-	s.putBatch(b)
+	s.led.Deliver(delay)
 }
 
 // Outstanding reports in-flight I/Os.
-func (s *Stack) Outstanding() int { return s.nOut }
+func (s *Stack) Outstanding() int { return s.led.Outstanding() }
 
 // Delay reports the hybrid mode's current adaptive sleep delay.
 func (s *Stack) Delay() sim.Time { return s.delay }
@@ -605,7 +425,8 @@ func (s *Stack) Delay() sim.Time { return s.delay }
 // Finalize charges the SQPOLL thread's continuous loop spin for the
 // whole active span [first submit, end]: io_sq_thread never sleeps while
 // the ring is live, exactly like an SPDK reactor. Call once, at the end
-// of a run; a no-op outside SQPOLL mode.
+// of a run; a no-op outside SQPOLL mode, and a free (zero-cost) loop
+// charges nothing.
 func (s *Stack) Finalize(end sim.Time) {
 	if s.mode != SQPoll || s.finalized || !s.started || end <= s.firstStart {
 		return
@@ -622,10 +443,9 @@ func (s *Stack) Finalize(end sim.Time) {
 	if span <= 0 {
 		return
 	}
-	iters := int64(span / s.costs.SQPollIter.Time)
+	iters := nvme.PollIters(span, s.costs.SQPollIter.Time)
 	if iters <= 0 {
 		return
 	}
-	s.sqProc.Charge(cpu.FnSQPoll, s.costs.SQPollIter.Time*sim.Time(iters),
-		s.costs.SQPollIter.Loads*uint64(iters), s.costs.SQPollIter.Stores*uint64(iters))
+	s.sqProc.PayN(cpu.FnSQPoll, s.costs.SQPollIter, iters)
 }

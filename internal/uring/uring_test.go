@@ -15,6 +15,7 @@ type rig struct {
 	dev  *ssd.Device
 	qp   *nvme.QueuePair
 	core *cpu.Core
+	proc *cpu.Proc // solo (non-arbitrating) handle on core
 }
 
 func newRig() *rig {
@@ -31,7 +32,8 @@ func newRig() *rig {
 	eng := sim.NewEngine()
 	dev := ssd.NewDevice(cfg, eng)
 	qp := nvme.New(eng, dev, nvme.DefaultConfig())
-	return &rig{eng: eng, dev: dev, qp: qp, core: cpu.NewCore()}
+	core := cpu.NewCore()
+	return &rig{eng: eng, dev: dev, qp: qp, core: core, proc: cpu.SoloProc(core)}
 }
 
 // runBatches drives the stack with batches I/O waves of the given width,
@@ -73,7 +75,7 @@ func TestModeStringsRoundTrip(t *testing.T) {
 
 func TestInterruptCompletesAll(t *testing.T) {
 	r := newRig()
-	s := New(r.eng, r.qp, r.core, Config{Mode: Interrupt})
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: Interrupt})
 	if got := runBatches(r, s, 8, 4); got != 32 {
 		t.Fatalf("completed %d of 32", got)
 	}
@@ -86,7 +88,7 @@ func TestInterruptCompletesAll(t *testing.T) {
 // before the ring flush fires rides one io_uring_enter.
 func TestBatchSharesOneEnter(t *testing.T) {
 	r := newRig()
-	s := New(r.eng, r.qp, r.core, Config{Mode: Interrupt})
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: Interrupt})
 	runBatches(r, s, 1, 8)
 	if calls := r.core.Acct(cpu.FnSyscall).Calls; calls != 1 {
 		t.Fatalf("8 same-instant SQEs took %d enters, want 1", calls)
@@ -116,8 +118,9 @@ func TestInterruptBatchesISR(t *testing.T) {
 	ncfg := nvme.DefaultConfig()
 	ncfg.InterruptLatency = 5 * sim.Microsecond // coalescing window
 	qp := nvme.New(eng, dev, ncfg)
-	r := &rig{eng: eng, dev: dev, qp: qp, core: cpu.NewCore()}
-	s := New(r.eng, r.qp, r.core, Config{Mode: Interrupt})
+	core := cpu.NewCore()
+	r := &rig{eng: eng, dev: dev, qp: qp, core: core, proc: cpu.SoloProc(core)}
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: Interrupt})
 	runBatches(r, s, 2, 16)
 	isr := r.core.Acct(cpu.FnISR).Calls
 	reaps := r.core.Acct(cpu.FnUringReap).Calls
@@ -131,7 +134,7 @@ func TestInterruptBatchesISR(t *testing.T) {
 
 func TestPollSpinsNoInterrupts(t *testing.T) {
 	r := newRig()
-	s := New(r.eng, r.qp, r.core, Config{Mode: Poll})
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: Poll})
 	if got := runBatches(r, s, 4, 4); got != 16 {
 		t.Fatalf("completed %d of 16", got)
 	}
@@ -147,7 +150,7 @@ func TestPollSpinsNoInterrupts(t *testing.T) {
 // delay off its initial value while keeping it inside the bounds.
 func TestHybridAdaptsDelay(t *testing.T) {
 	r := newRig()
-	s := New(r.eng, r.qp, r.core, Config{Mode: Hybrid})
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: Hybrid})
 	init := s.Delay()
 	if got := runBatches(r, s, 64, 1); got != 64 {
 		t.Fatalf("completed %d of 64", got)
@@ -170,7 +173,7 @@ func TestHybridAdaptsDelay(t *testing.T) {
 func TestSQPollChargesDedicatedThread(t *testing.T) {
 	cs := cpu.NewCoreSet(2)
 	r := newRig()
-	s := NewOn(r.eng, r.qp, cs.Proc(0), cs.Proc(1), Config{Mode: SQPoll})
+	s := New(r.eng, r.qp, cs.Proc(0), cs.Proc(1), Config{Mode: SQPoll})
 	if got := runBatches(r, s, 8, 4); got != 32 {
 		t.Fatalf("completed %d of 32", got)
 	}
@@ -198,7 +201,7 @@ func TestSQPollChargesDedicatedThread(t *testing.T) {
 // shows up as Oversub > 1 instead of vanishing into a clamp.
 func TestSQPollSoloOversubscribes(t *testing.T) {
 	r := newRig()
-	s := New(r.eng, r.qp, r.core, Config{Mode: SQPoll})
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: SQPoll})
 	runBatches(r, s, 8, 4)
 	end := r.eng.Now()
 	s.Finalize(end)
@@ -210,7 +213,7 @@ func TestSQPollSoloOversubscribes(t *testing.T) {
 
 func TestFlushBarrier(t *testing.T) {
 	r := newRig()
-	s := New(r.eng, r.qp, r.core, Config{Mode: Interrupt})
+	s := New(r.eng, r.qp, r.proc, nil, Config{Mode: Interrupt})
 	fired := false
 	s.Submit(true, 0, 4096, func() {})
 	s.Flush(func() { fired = true })
@@ -224,7 +227,7 @@ func TestDeterministic(t *testing.T) {
 	for _, mode := range []Mode{Interrupt, Poll, Hybrid, SQPoll} {
 		run := func() sim.Time {
 			r := newRig()
-			s := New(r.eng, r.qp, r.core, Config{Mode: mode})
+			s := New(r.eng, r.qp, r.proc, nil, Config{Mode: mode})
 			runBatches(r, s, 8, 4)
 			return r.eng.Now()
 		}
