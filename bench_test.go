@@ -2,8 +2,10 @@ package repro
 
 // The benchmark harness: one testing.B benchmark per table/figure of the
 // paper (regenerating it at quick scale and reporting its headline metric
-// where one exists), plus ablation benchmarks for the design choices
-// DESIGN.md calls out. Run with:
+// where one exists), ablation benchmarks for the ULL device's features
+// (suspend/resume, super-channels, write buffer, hybrid polling), and the
+// simulator-speed benchmarks README "Simulator performance" describes.
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -207,6 +209,24 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	issue()
 	sys.Eng.Run()
+}
+
+// BenchmarkDeviceSetup reports what every sweep point pays before its
+// first I/O: building a device and preconditioning it to 0.9. The
+// preconditioned mapping is a closed form, so allocs/op gates that
+// set-up stays proportional to blocks, not to mapping slots.
+func BenchmarkDeviceSetup(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  ssd.Config
+	}{{"zssd", ssd.ZSSD()}, {"nvme750", ssd.NVMe750()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ssd.NewDevice(c.cfg, sim.NewEngine()).Precondition(0.9)
+			}
+		})
+	}
 }
 
 // BenchmarkUringSubmit reports the ring stack's simulator cost:

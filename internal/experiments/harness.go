@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections IV-VI). Each experiment is a named runner that
 // builds the necessary systems, drives calibrated workloads, and returns
-// result tables; DESIGN.md carries the experiment index and EXPERIMENTS.md
-// the paper-vs-measured record.
+// result tables. `ullsim list` prints the experiment index; README
+// "Parallel experiment runner" covers how experiments shard and merge.
 package experiments
 
 import (

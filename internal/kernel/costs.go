@@ -12,7 +12,7 @@ import (
 )
 
 // Costs is the calibrated cost table of the stack. The defaults target
-// the ratios the paper reports (see EXPERIMENTS.md): interrupt-mode CPU
+// the ratios the paper reports: interrupt-mode CPU
 // utilization ~9% user + ~8% kernel, polling ~96% kernel, poll-vs-
 // interrupt latency gap ~2µs, poll load/store counts 2.37×/1.78× the
 // interrupt counts.

@@ -5,8 +5,16 @@
 //
 // Two calibrated configurations reproduce the paper's devices: ZSSD (the
 // 800GB Z-SSD prototype) and NVMe750 (the Intel 750 class conventional
-// NVMe SSD). Capacities are scaled down so FTL state stays small; all
-// behaviours of interest are ratio-driven (see DESIGN.md).
+// NVMe SSD). Capacities are scaled down to a few GB; the behaviours of
+// interest are driven by parallelism, over-provisioning and latency
+// ratios, which match the real device classes.
+//
+// Every sweep point builds a fresh device and usually preconditions it,
+// so set-up is kept proportional to blocks, not mapping slots: the
+// preconditioned fill is a closed form the FTL resolves on lookup, and
+// only the slots later overwritten, trimmed, migrated or erased hold
+// explicit mapping entries (see Device.Precondition and README
+// "Simulator performance").
 package ssd
 
 import (

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/flash"
 	"repro/internal/probe"
@@ -666,7 +667,7 @@ func (d *Device) allocateRun(want int) (unit int, ppn int64, count int) {
 	return 0, noPPN, 0
 }
 
-// allocate reserves a single slot (tests and preconditioning).
+// allocate reserves a single slot (tests).
 func (d *Device) allocate(gc bool) (unit int, ppn int64, ok bool) {
 	if gc {
 		panic("ssd: use AllocateRun directly for GC")
@@ -816,32 +817,25 @@ func (d *Device) retryGCWaiters() {
 
 // --- Preconditioning ---
 
-// Precondition instantly installs a sequential mapping for the first
-// fraction of the exported LPN space, as if the device had been filled
-// once. It consumes erased blocks exactly like real writes but takes no
-// simulated time. fraction is clamped to [0, 1].
+// Precondition instantly maps the first fraction of the exported LPN
+// space, as if the device had been filled once by sequential writes: the
+// same blocks consumed, the same round-robin placement, the same
+// allocation cursor, but no simulated time and no flash operations.
+// fraction is clamped to [0, 1]; NaN counts as 0. The placement is a
+// closed form the FTL resolves on lookup, so this costs O(blocks)
+// however large the device. That form assumes a fresh device: calling
+// Precondition after any allocation is a harness bug and panics.
 func (d *Device) Precondition(fraction float64) {
-	if fraction < 0 {
+	if d.allocCursor != 0 {
+		panic(fmt.Sprintf("ssd: Precondition on a device that has already allocated (cursor=%d); precondition a fresh device",
+			d.allocCursor))
+	}
+	if fraction < 0 || math.IsNaN(fraction) {
 		fraction = 0
 	}
 	if fraction > 1 {
 		fraction = 1
 	}
 	n := int64(fraction * float64(d.ftl.ExportedPages()))
-	for lpn := int64(0); lpn < n; {
-		// Fill whole pages per unit, mirroring sequential writes.
-		want := int(n - lpn)
-		if spp := d.ftl.SlotsPerPage(); want > spp {
-			want = spp
-		}
-		unit, ppn, count := d.allocateRun(want)
-		if count == 0 {
-			return
-		}
-		_ = unit
-		for i := 0; i < count; i++ {
-			d.ftl.Commit(lpn, ppn+int64(i))
-			lpn++
-		}
-	}
+	d.allocCursor = d.ftl.precondition(d.allocOrder, n)
 }

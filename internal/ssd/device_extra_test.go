@@ -209,6 +209,10 @@ func TestDeviceCompletionProperty(t *testing.T) {
 			})
 		}
 		eng.Run()
+		if err := dev.FTL().Check(); err != nil {
+			t.Log(err)
+			return false
+		}
 		return completed == len(ops)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {

@@ -277,6 +277,9 @@ func TestDeviceGCReclaimsUnderRandomOverwrite(t *testing.T) {
 	if free == 0 {
 		t.Fatal("device wedged with zero free blocks")
 	}
+	if err := dev.FTL().Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDeviceWriteBackpressure(t *testing.T) {

@@ -1,20 +1,38 @@
 package ssd
 
+import (
+	"fmt"
+	"math"
+)
+
 // The flash translation layer: a slot-mapping FTL (mapping unit =
 // Config.MappingUnit, typically 4KB on conventional SSDs and one 2KB page
 // on the ULL device) with per-unit log-structured allocation and greedy
 // garbage-collection victim selection. Several consecutive slots share
 // one physical flash page; the device batches their programs. The FTL is
 // pure bookkeeping — it consumes no simulated time itself.
+//
+// The mapping is a closed form plus overrides. Preconditioning fills the
+// first preSlots LPNs page by page in round-robin unit order, a pure
+// function of the geometry, so that fill is never materialized: an l2p
+// or p2l entry of 0 defers to the closed form, and only the entries an
+// overwrite, trim, migration or erase touches are ever written.
+// Preconditioning therefore writes O(blocks) state, and the mapping
+// arrays need no initialisation beyond the zeroed memory make returns.
 
 const noPPN = int64(-1)
 
+// unmapped is an explicit hole in l2p (trimmed) or p2l (invalid),
+// overriding whatever the closed form says. Other entries are 0 (defer
+// to the closed form) or target+1.
+const unmapped = int32(-1)
+
 // blockState tracks one physical block, in slots.
 type blockState struct {
-	lpns      []int64 // physical slot -> owning LPN, -1 if invalid/unwritten
-	written   int     // slots allocated
-	committed int     // slots whose program completed
-	invalid   int     // slots invalidated by overwrites or migration
+	written   int // slots allocated
+	committed int // slots whose program completed
+	invalid   int // slots invalidated by overwrites or migration
+	pre       int // leading slots whose owner is the preconditioned closed form
 }
 
 func (b *blockState) sealed(slotsPerBlock int) bool {
@@ -43,12 +61,21 @@ type FTL struct {
 	slotsPerPage  int // mapping slots per physical flash page
 	exportedSlots int64
 
-	l2p    []int64      // LPN -> PPN (slot index), noPPN if unmapped
+	l2p    []int32      // LPN -> PPN+1; 0 defers to the closed form
+	p2l    []int32      // PPN -> owning LPN+1; 0 defers to the closed form
 	blocks []blockState // unit*blocksPerUnit + block
 	ustate []unitState
+
+	// The preconditioned closed form: LPN page p (slotsPerPage LPNs) is
+	// page p/units of unit order[p%units]; pos inverts order.
+	preSlots int64
+	order    []int
+	pos      []int
 }
 
 // NewFTL builds an empty (freshly formatted) FTL for the given geometry.
+// Mapping entries are int32, so the geometry must have at most MaxInt32
+// physical and exported slots.
 func NewFTL(cfg Config) *FTL {
 	units := cfg.Units()
 	spp := cfg.SlotsPerPage()
@@ -59,18 +86,14 @@ func NewFTL(cfg Config) *FTL {
 		slotsPerPage:  spp,
 		exportedSlots: cfg.ExportedBytes() / int64(cfg.MappingUnitBytes()),
 	}
-	f.l2p = make([]int64, f.exportedSlots)
-	for i := range f.l2p {
-		f.l2p[i] = noPPN
+	physical := int64(units) * int64(f.blocksPerUnit) * int64(f.slotsPerBlock)
+	if physical > math.MaxInt32 || f.exportedSlots > math.MaxInt32 {
+		panic(fmt.Sprintf("ssd: geometry has %d physical and %d exported mapping slots; the FTL maps at most %d",
+			physical, f.exportedSlots, math.MaxInt32))
 	}
+	f.l2p = make([]int32, f.exportedSlots)
+	f.p2l = make([]int32, physical)
 	f.blocks = make([]blockState, units*cfg.BlocksPerUnit)
-	for i := range f.blocks {
-		lpns := make([]int64, f.slotsPerBlock)
-		for j := range lpns {
-			lpns[j] = noPPN
-		}
-		f.blocks[i].lpns = lpns
-	}
 	f.ustate = make([]unitState, units)
 	for u := range f.ustate {
 		f.ustate[u].active = -1
@@ -82,6 +105,50 @@ func NewFTL(cfg Config) *FTL {
 		f.ustate[u].free = free
 	}
 	return f
+}
+
+// precondition installs the closed form for the first n LPNs: the state
+// n sequential writes through a round-robin allocator visiting order
+// would leave in a fresh FTL. LPN page p goes to unit order[p%units] as
+// that unit's page p/units, so only per-unit and per-block state is
+// written. Host allocation keeps each unit's reserve block, so no unit
+// fills more than blocksPerUnit-1 blocks; all units reach that cap in
+// the same round and the fill stops there. It returns the number of
+// allocation attempts the sequential fill makes, counting the final
+// round of failures when the cap stops it.
+func (f *FTL) precondition(order []int, n int64) (attempts int) {
+	if n <= 0 {
+		return 0
+	}
+	units, spp, spb := int64(f.units), int64(f.slotsPerPage), int64(f.slotsPerBlock)
+	pages := (n + spp - 1) / spp
+	attempts = int(pages)
+	if limit := int64(f.blocksPerUnit-1) * (spb / spp) * units; pages > limit {
+		pages, n, attempts = limit, limit*spp, int(limit+units)
+	}
+	f.preSlots = n
+	f.order = order
+	f.pos = make([]int, f.units)
+	for i, unit := range order {
+		f.pos[unit] = i
+		if int64(i) >= pages {
+			continue
+		}
+		slots := ((pages-1-int64(i))/units + 1) * spp
+		if int64(i) == (pages-1)%units {
+			slots -= pages*spp - n // a partial last page
+		}
+		nblk := int((slots + spb - 1) / spb)
+		for b := 0; b < nblk; b++ {
+			w := int(min(slots-int64(b)*spb, spb))
+			f.blocks[f.blockIndex(unit, b)] = blockState{written: w, committed: w, pre: w}
+		}
+		u := &f.ustate[unit]
+		u.free = u.free[nblk:]
+		u.active = nblk - 1
+		u.nextSlot = int(slots - int64(nblk-1)*spb)
+	}
+	return attempts
 }
 
 // ExportedPages reports the host-visible capacity in mapping slots.
@@ -119,8 +186,32 @@ func (f *FTL) Lookup(lpn int64) (ppn int64, ok bool) {
 	if lpn < 0 || lpn >= f.exportedSlots {
 		return noPPN, false
 	}
-	p := f.l2p[lpn]
-	return p, p != noPPN
+	switch v := f.l2p[lpn]; {
+	case v > 0:
+		return int64(v) - 1, true
+	case v == 0 && lpn < f.preSlots:
+		spp, unitSlots := int64(f.slotsPerPage), int64(f.blocksPerUnit)*int64(f.slotsPerBlock)
+		page, units := lpn/spp, int64(f.units)
+		return int64(f.order[page%units])*unitSlots + page/units*spp + lpn%spp, true
+	}
+	return noPPN, false
+}
+
+// owner reports the LPN whose data ppn holds, noPPN if the slot is
+// invalid or unwritten. It inverts Lookup.
+func (f *FTL) owner(ppn int64) int64 {
+	switch v := f.p2l[ppn]; {
+	case v > 0:
+		return int64(v) - 1
+	case v < 0:
+		return noPPN
+	}
+	if ppn%int64(f.slotsPerBlock) >= int64(f.blockOf(ppn).pre) {
+		return noPPN
+	}
+	spp, unitSlots := int64(f.slotsPerPage), int64(f.blocksPerUnit)*int64(f.slotsPerBlock)
+	page := ppn % unitSlots / spp // within the unit
+	return (page*int64(f.units)+int64(f.pos[ppn/unitSlots]))*spp + ppn%spp
 }
 
 // Allocate reserves the next slot in unit's active block for the host
@@ -173,36 +264,35 @@ func (f *FTL) blockIndex(unit, block int) int {
 	return unit*f.blocksPerUnit + block
 }
 
+// blockOf returns the state of the block holding ppn.
+func (f *FTL) blockOf(ppn int64) *blockState {
+	return &f.blocks[ppn/int64(f.slotsPerBlock)]
+}
+
 // Commit installs lpn -> ppn after a program completes, invalidating any
 // previous location of lpn.
 func (f *FTL) Commit(lpn, ppn int64) {
-	unit, block, slot := f.Unpack(ppn)
-	bi := f.blockIndex(unit, block)
-	if old := f.l2p[lpn]; old != noPPN {
+	if old, ok := f.Lookup(lpn); ok {
 		f.invalidate(old)
 	}
-	f.l2p[lpn] = ppn
-	b := &f.blocks[bi]
-	b.lpns[slot] = lpn
-	b.committed++
+	f.l2p[lpn] = int32(ppn + 1)
+	f.p2l[ppn] = int32(lpn + 1)
+	f.blockOf(ppn).committed++
 }
 
 // CommitDiscard is used when a buffered write was superseded before its
 // program completed: the physical slot is immediately invalid.
 func (f *FTL) CommitDiscard(ppn int64) {
-	unit, block, slot := f.Unpack(ppn)
-	b := &f.blocks[f.blockIndex(unit, block)]
-	b.lpns[slot] = noPPN
+	f.p2l[ppn] = unmapped
+	b := f.blockOf(ppn)
 	b.committed++
 	b.invalid++
 }
 
 func (f *FTL) invalidate(ppn int64) {
-	unit, block, slot := f.Unpack(ppn)
-	b := &f.blocks[f.blockIndex(unit, block)]
-	if b.lpns[slot] != noPPN {
-		b.lpns[slot] = noPPN
-		b.invalid++
+	if f.owner(ppn) != noPPN {
+		f.p2l[ppn] = unmapped
+		f.blockOf(ppn).invalid++
 	}
 }
 
@@ -234,10 +324,10 @@ func (f *FTL) Victim(unit int) (block int, valid []MigrationPage, ok bool) {
 	if best < 0 {
 		return 0, nil, false
 	}
-	bs := &f.blocks[f.blockIndex(unit, best)]
-	for slot, lpn := range bs.lpns {
-		if lpn != noPPN {
-			valid = append(valid, MigrationPage{LPN: lpn, PPN: f.pack(unit, best, slot)})
+	base := f.pack(unit, best, 0)
+	for ppn := base; ppn < base+int64(f.slotsPerBlock); ppn++ {
+		if lpn := f.owner(ppn); lpn != noPPN {
+			valid = append(valid, MigrationPage{LPN: lpn, PPN: ppn})
 		}
 	}
 	return best, valid, true
@@ -252,13 +342,9 @@ type MigrationPage struct {
 // EraseDone returns block to unit's free list after an erase completes and
 // resets its bookkeeping.
 func (f *FTL) EraseDone(unit, block int) {
-	bs := &f.blocks[f.blockIndex(unit, block)]
-	for i := range bs.lpns {
-		bs.lpns[i] = noPPN
-	}
-	bs.written = 0
-	bs.committed = 0
-	bs.invalid = 0
+	base := f.pack(unit, block, 0)
+	clear(f.p2l[base : base+int64(f.slotsPerBlock)])
+	f.blocks[f.blockIndex(unit, block)] = blockState{}
 	u := &f.ustate[unit]
 	u.free = append(u.free, block)
 	u.eraseCount++
@@ -314,17 +400,15 @@ func (w WearReport) WriteAmp() float64 {
 // StillCurrent reports whether ppn is still the mapping target of lpn —
 // a migration must not commit if the host overwrote the slot meanwhile.
 func (f *FTL) StillCurrent(lpn, ppn int64) bool {
-	return f.l2p[lpn] == ppn
+	cur, ok := f.Lookup(lpn)
+	return ok && cur == ppn
 }
 
 // Trim unmaps lpn, invalidating its physical slot (NVMe Deallocate).
 func (f *FTL) Trim(lpn int64) {
-	if lpn < 0 || lpn >= f.exportedSlots {
-		return
-	}
-	if old := f.l2p[lpn]; old != noPPN {
+	if old, ok := f.Lookup(lpn); ok {
 		f.invalidate(old)
-		f.l2p[lpn] = noPPN
+		f.l2p[lpn] = unmapped
 	}
 }
 
@@ -336,4 +420,87 @@ func (f *FTL) TotalInvalid(unit int) int {
 		sum += f.blocks[f.blockIndex(unit, b)].invalid
 	}
 	return sum
+}
+
+// Check audits the FTL's invariants and reports the first violation:
+//   - l2p and p2l are inverse bijections, across closed form and
+//     overrides, and every mapped slot lies below its block's write point;
+//   - per block, pre <= committed <= written <= slotsPerBlock, and invalid
+//     equals committed minus live slots;
+//   - each unit's free list holds distinct unwritten blocks that no
+//     stream is filling, and every other block has been written;
+//   - host allocation never takes a unit's last free block, so an empty
+//     free list means GC has opened the reserve.
+//
+// It walks every LPN and slot, so it is for tests, not the hot path.
+func (f *FTL) Check() error {
+	for lpn := int64(0); lpn < f.exportedSlots; lpn++ {
+		ppn, ok := f.Lookup(lpn)
+		if !ok {
+			continue
+		}
+		if ppn < 0 || ppn >= int64(len(f.p2l)) {
+			return fmt.Errorf("ssd: LPN %d maps to PPN %d outside the media", lpn, ppn)
+		}
+		if got := f.owner(ppn); got != lpn {
+			return fmt.Errorf("ssd: LPN %d maps to PPN %d, whose owner is LPN %d", lpn, ppn, got)
+		}
+	}
+	spb := f.slotsPerBlock
+	for bi := range f.blocks {
+		b := &f.blocks[bi]
+		if b.pre > b.committed || b.committed > b.written || b.written > spb {
+			return fmt.Errorf("ssd: block %d counters pre=%d committed=%d written=%d exceed their order (slots %d)",
+				bi, b.pre, b.committed, b.written, spb)
+		}
+		live := 0
+		base := int64(bi) * int64(spb)
+		for slot := 0; slot < spb; slot++ {
+			lpn := f.owner(base + int64(slot))
+			if lpn == noPPN {
+				continue
+			}
+			if slot >= b.written {
+				return fmt.Errorf("ssd: block %d slot %d owned by LPN %d beyond the write point %d", bi, slot, lpn, b.written)
+			}
+			if cur, ok := f.Lookup(lpn); !ok || cur != base+int64(slot) {
+				return fmt.Errorf("ssd: PPN %d owned by LPN %d, which maps to %d (mapped %v)", base+int64(slot), lpn, cur, ok)
+			}
+			live++
+		}
+		if b.invalid != b.committed-live {
+			return fmt.Errorf("ssd: block %d invalid=%d, want committed %d - live %d", bi, b.invalid, b.committed, live)
+		}
+	}
+	seen := make([]bool, f.blocksPerUnit)
+	for u := range f.ustate {
+		us := &f.ustate[u]
+		for _, s := range []struct{ active, next int }{{us.active, us.nextSlot}, {us.gcActive, us.gcNextSlot}} {
+			if s.active >= 0 && s.next < spb && f.blocks[f.blockIndex(u, s.active)].written != s.next {
+				return fmt.Errorf("ssd: unit %d active block %d written=%d, want write point %d",
+					u, s.active, f.blocks[f.blockIndex(u, s.active)].written, s.next)
+			}
+		}
+		clear(seen)
+		for _, b := range us.free {
+			switch {
+			case b < 0 || b >= f.blocksPerUnit || seen[b]:
+				return fmt.Errorf("ssd: unit %d free list %v repeats or overruns block %d", u, us.free, b)
+			case f.blocks[f.blockIndex(u, b)].written != 0:
+				return fmt.Errorf("ssd: unit %d free block %d has written slots", u, b)
+			case b == us.active && us.nextSlot < spb, b == us.gcActive && us.gcNextSlot < spb:
+				return fmt.Errorf("ssd: unit %d free block %d is an open active block", u, b)
+			}
+			seen[b] = true
+		}
+		for b := 0; b < f.blocksPerUnit; b++ {
+			if !seen[b] && f.blocks[f.blockIndex(u, b)].written == 0 {
+				return fmt.Errorf("ssd: unit %d block %d is neither free nor written", u, b)
+			}
+		}
+		if len(us.free) == 0 && us.gcActive < 0 {
+			return fmt.Errorf("ssd: unit %d free list empty without GC taking the reserve", u)
+		}
+	}
+	return nil
 }

@@ -253,8 +253,7 @@ func TestFTLMappingInvariant(t *testing.T) {
 				continue
 			}
 			live++
-			unit, block, page := f.Unpack(ppn)
-			if f.blocks[f.blockIndex(unit, block)].lpns[page] != lpn {
+			if f.owner(ppn) != lpn {
 				return false
 			}
 		}
@@ -262,7 +261,7 @@ func TestFTLMappingInvariant(t *testing.T) {
 		for u := 0; u < cfg.Units(); u++ {
 			invalid += f.TotalInvalid(u)
 		}
-		return commits-live == invalid
+		return commits-live == invalid && f.Check() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

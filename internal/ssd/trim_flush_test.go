@@ -32,6 +32,9 @@ func TestTrimUnmapsAndInvalidates(t *testing.T) {
 	if dev.Stats().ZeroFills <= pre {
 		t.Fatal("read of trimmed range hit media")
 	}
+	if err := dev.FTL().Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTrimPartialSlotLeftMapped(t *testing.T) {
@@ -46,6 +49,9 @@ func TestTrimPartialSlotLeftMapped(t *testing.T) {
 	}
 	if _, ok := dev.FTL().Lookup(0); !ok {
 		t.Fatal("partial-slot trim unmapped the slot")
+	}
+	if err := dev.FTL().Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -64,6 +70,9 @@ func TestTrimFreesSpaceForGC(t *testing.T) {
 	}
 	if int64(inv)*int64(cfg.MappingUnitBytes()) < half/2 {
 		t.Fatalf("trim invalidated only %d slots", inv)
+	}
+	if err := dev.FTL().Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
