@@ -74,14 +74,18 @@ func BenchmarkFig23(b *testing.B)  { benchExperiment(b, "fig23") }
 // time and report the read latency of the interference workload (the
 // metric those features protect). ---
 
+// oneDevice builds stack st over dev, preconditioned to 0.9, and
+// returns it with the preconditioned region aligned down to 1MiB.
+func oneDevice(st core.Stack, dev ssd.Config) (*core.Graph, int64) {
+	st.Queue.Device = dev
+	g := core.Build(core.Topology{Root: st, Precondition: 0.9})
+	return g, int64(0.9*float64(g.ExportedBytes())) >> 20 << 20
+}
+
 // interferenceReadLatency measures mean read latency under a 40%-write
 // random mix on a preconditioned device.
 func interferenceReadLatency(dev ssd.Config) sim.Time {
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.KernelAsync
-	cfg.Precondition = 0.9
-	sys := core.NewSystem(cfg)
-	region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
+	sys, region := oneDevice(core.Stack{Kind: core.KernelAsync}, dev)
 	res := workload.Run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:       workload.RandRW,
@@ -112,11 +116,7 @@ func BenchmarkAblationSuspendResume(b *testing.B) {
 
 func BenchmarkAblationSuperChannel(b *testing.B) {
 	read4K := func(cfg ssd.Config) sim.Time {
-		sys := core.NewSystem(core.Config{
-			Device: cfg, Stack: core.KernelSync, Mode: kernel.Interrupt,
-			Precondition: 0.9,
-		})
-		region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
+		sys, region := oneDevice(core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}, cfg)
 		res := workload.Run(sys, workload.Job{
 			Spec: workload.Spec{
 				Pattern: workload.RandRead, BlockSize: 4096,
@@ -139,10 +139,7 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 	writeLat := func(bufBytes int64) sim.Time {
 		cfg := ssd.NVMe750()
 		cfg.WriteBufferBytes = bufBytes
-		sys := core.NewSystem(core.Config{
-			Device: cfg, Stack: core.KernelAsync, Precondition: 0.9,
-		})
-		region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
+		sys, region := oneDevice(core.Stack{Kind: core.KernelAsync}, cfg)
 		res := workload.Run(sys, workload.Job{
 			Spec: workload.Spec{
 				Pattern: workload.RandWrite, BlockSize: 4096,
@@ -163,11 +160,7 @@ func BenchmarkAblationHybridSleep(b *testing.B) {
 	hybridLat := func(factor float64) sim.Time {
 		costs := kernel.DefaultCosts()
 		costs.HybridSleepFactor = factor
-		sys := core.NewSystem(core.Config{
-			Device: ssd.ZSSD(), Stack: core.KernelSync, Mode: kernel.Hybrid,
-			Kernel: costs, Precondition: 0.9,
-		})
-		region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
+		sys, region := oneDevice(core.Stack{Kind: core.KernelSync, Mode: kernel.Hybrid, Kernel: &costs}, ssd.ZSSD())
 		res := workload.Run(sys, workload.Job{
 			Spec: workload.Spec{
 				Pattern: workload.RandRead, BlockSize: 4096,
@@ -186,11 +179,7 @@ func BenchmarkAblationHybridSleep(b *testing.B) {
 // BenchmarkSimulatorThroughput reports raw simulator speed: simulated
 // 4KB random reads per second of wall time on the ULL device.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := core.DefaultConfig(ssd.ZSSD())
-	cfg.Stack = core.KernelAsync
-	cfg.Precondition = 0.9
-	sys := core.NewSystem(cfg)
-	region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
+	sys, region := oneDevice(core.Stack{Kind: core.KernelAsync}, ssd.ZSSD())
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
@@ -208,7 +197,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		sys.Submit(false, off, 4096, donefn)
 	}
 	issue()
-	sys.Eng.Run()
+	sys.Engine().Run()
 }
 
 // BenchmarkDeviceSetup reports what every sweep point pays before its
@@ -235,12 +224,7 @@ func BenchmarkDeviceSetup(b *testing.B) {
 // and MSI delivery all on the hot path. Steady state is pooled, so
 // allocs/op gates the ring path alongside the event core's.
 func BenchmarkUringSubmit(b *testing.B) {
-	cfg := core.DefaultConfig(ssd.ZSSD())
-	cfg.Stack = core.IOUring
-	cfg.Uring = uring.Config{Mode: uring.Interrupt}
-	cfg.Precondition = 0.9
-	sys := core.NewSystem(cfg)
-	region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
+	sys, region := oneDevice(core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.Interrupt}}, ssd.ZSSD())
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
@@ -263,7 +247,7 @@ func BenchmarkUringSubmit(b *testing.B) {
 	for i := 0; i < 16 && i < b.N; i++ {
 		issue()
 	}
-	sys.Eng.Run()
+	sys.Engine().Run()
 }
 
 // BenchmarkCoreSchedule measures the per-core arbiter alone: one

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -108,6 +107,21 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	if c.syncRatio < 0 {
 		return nil, fmt.Errorf("-syncratio %d out of range: want 0 (never) or a positive write count", c.syncRatio)
 	}
+	if c.bs <= 0 {
+		return nil, fmt.Errorf("-bs %d out of range: want a positive block size in bytes", c.bs)
+	}
+	if c.ios < 0 {
+		return nil, fmt.Errorf("-ios %d out of range: want 0 (use -runtime) or a positive I/O count", c.ios)
+	}
+	if c.runtime < 0 {
+		return nil, fmt.Errorf("-runtime %v out of range: want 0 (use -ios) or a positive duration", c.runtime)
+	}
+	if c.depth < 1 {
+		return nil, fmt.Errorf("-iodepth %d out of range: want at least 1", c.depth)
+	}
+	if c.precond < 0 || c.precond > 1 {
+		return nil, fmt.Errorf("-precondition %g out of range: want a fraction in 0-1", c.precond)
+	}
 	return c, nil
 }
 
@@ -126,45 +140,44 @@ func journalMode(name string) (repro.JournalMode, error) {
 }
 
 // stackFor maps the -engine/-completion flags onto the stack layer.
-func stackFor(engine, completion string) (repro.SystemConfig, error) {
-	var cfg repro.SystemConfig
+func stackFor(engine, completion string) (repro.StackLayer, error) {
+	var st repro.StackLayer
 	switch engine {
 	case "pvsync2":
-		cfg.Stack = repro.KernelSync
+		st.Kind = repro.KernelSync
 		switch completion {
 		case "interrupt":
-			cfg.Mode = repro.Interrupt
+			st.Mode = repro.Interrupt
 		case "poll":
-			cfg.Mode = repro.Poll
+			st.Mode = repro.Poll
 		case "hybrid":
-			cfg.Mode = repro.Hybrid
+			st.Mode = repro.Hybrid
 		default:
-			return cfg, fmt.Errorf("unknown completion %q", completion)
+			return st, fmt.Errorf("unknown completion %q", completion)
 		}
 	case "libaio":
-		cfg.Stack = repro.KernelAsync
+		st.Kind = repro.KernelAsync
 	case "io_uring":
-		cfg.Stack = repro.IOUring
+		st.Kind = repro.IOUring
+		st.Uring = &repro.UringConfig{}
 		switch completion {
 		case "interrupt":
-			cfg.Uring.Mode = repro.UringInterrupt
+			st.Uring.Mode = repro.UringInterrupt
 		case "poll":
-			cfg.Uring.Mode = repro.UringPoll
+			st.Uring.Mode = repro.UringPoll
 		case "hybrid":
-			cfg.Uring.Mode = repro.UringHybrid
+			st.Uring.Mode = repro.UringHybrid
 		case "sqpoll":
-			cfg.Uring.Mode = repro.UringSQPoll
-			// The SQ thread pins its own core beside the submitter's.
-			cfg.Cores = 2
+			st.Uring.Mode = repro.UringSQPoll
 		default:
-			return cfg, fmt.Errorf("unknown completion %q (io_uring: interrupt, poll, hybrid, or sqpoll)", completion)
+			return st, fmt.Errorf("unknown completion %q (io_uring: interrupt, poll, hybrid, or sqpoll)", completion)
 		}
 	case "spdk":
-		cfg.Stack = repro.SPDK
+		st.Kind = repro.SPDK
 	default:
-		return cfg, fmt.Errorf("unknown engine %q (want pvsync2, libaio, io_uring, or spdk)", engine)
+		return st, fmt.Errorf("unknown engine %q (want pvsync2, libaio, io_uring, or spdk)", engine)
 	}
-	return cfg, nil
+	return st, nil
 }
 
 func deviceConfig(name string) (repro.DeviceConfig, error) {
@@ -185,7 +198,7 @@ func (c *config) topology() (repro.Topology, error) {
 	if err != nil {
 		return repro.Topology{}, err
 	}
-	scfg, err := stackFor(c.engine, c.completion)
+	stack, err := stackFor(c.engine, c.completion)
 	if err != nil {
 		return repro.Topology{}, err
 	}
@@ -193,10 +206,11 @@ func (c *config) topology() (repro.Topology, error) {
 	if err != nil {
 		return repro.Topology{}, err
 	}
-	stack := repro.StackOn(scfg.Stack, scfg.Mode, dev)
-	if scfg.Stack == repro.IOUring {
-		u := scfg.Uring
-		stack.Uring = &u
+	stack.Queue.Device = dev
+	cores := 0
+	if stack.Uring != nil && stack.Uring.Mode == repro.UringSQPoll {
+		// The SQ thread pins its own core beside the submitter's.
+		cores = 2
 	}
 	var root repro.Layer = stack
 	if c.fsOn || mode != repro.NoJournal {
@@ -208,7 +222,7 @@ func (c *config) topology() (repro.Topology, error) {
 		}
 		root = repro.FSOn(fcfg, root)
 	}
-	return repro.Topology{Root: root, Cores: scfg.Cores, Precondition: c.precond}, nil
+	return repro.Topology{Root: root, Cores: cores, Precondition: c.precond}, nil
 }
 
 // job assembles the workload description.
@@ -433,7 +447,7 @@ func replayTrace(g *repro.TopologySystem, path string) (*repro.Result, error) {
 		return nil, err
 	}
 	out := trace.NewRecorder()
-	trace.Replay(g.Engine(), graphTarget{g}, events, out)
+	trace.Replay(g.Engine(), g, events, out)
 	g.Engine().Run()
 	g.Finalize()
 	res := &repro.Result{}
@@ -451,11 +465,4 @@ func replayTrace(g *repro.TopologySystem, path string) (*repro.Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// graphTarget adapts the built topology to trace.Target.
-type graphTarget struct{ g *core.Graph }
-
-func (t graphTarget) Submit(write bool, off int64, n int, done func()) {
-	t.g.Submit(write, off, n, done)
 }

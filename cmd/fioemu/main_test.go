@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -52,6 +55,51 @@ func TestSyncRatioValidation(t *testing.T) {
 	parse(t, "-syncratio", "32")
 }
 
+// TestBadNumericFlags is the regression test for the hang on negative
+// bounds and the panic on a zero block size: every out-of-range value
+// is a one-line usage error with exit status 2. Each run has a
+// deadline, because a negative bound used to run forever.
+func TestBadNumericFlags(t *testing.T) {
+	type outcome struct {
+		code   int
+		stderr string
+	}
+	for _, c := range []struct{ flag, value string }{
+		{"-bs", "0"}, {"-bs", "-4096"},
+		{"-ios", "-5"},
+		{"-runtime", "-1s"},
+		{"-iodepth", "0"}, {"-iodepth", "-2"},
+		{"-precondition", "-0.1"}, {"-precondition", "1.5"},
+	} {
+		done := make(chan outcome, 1)
+		go func() {
+			var out, errOut strings.Builder
+			defer func() {
+				if p := recover(); p != nil {
+					done <- outcome{-1, fmt.Sprintf("panic: %v", p)}
+				}
+			}()
+			code := run([]string{c.flag, c.value}, &out, &errOut)
+			done <- outcome{code, errOut.String()}
+		}()
+		select {
+		case got := <-done:
+			if got.code != 2 || !strings.Contains(got.stderr, c.flag) || strings.Count(got.stderr, "\n") != 1 {
+				t.Errorf("%s %s: exit %d, stderr %q; want exit 2 and one line naming the flag",
+					c.flag, c.value, got.code, got.stderr)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s %s: run did not return", c.flag, c.value)
+		}
+	}
+	for _, ok := range [][]string{
+		{"-bs", "512"}, {"-ios", "0"}, {"-runtime", "0"}, {"-iodepth", "1"},
+		{"-precondition", "0"}, {"-precondition", "1"},
+	} {
+		parse(t, ok...)
+	}
+}
+
 // TestDeviceFlagWiring: every -dev spelling maps onto the right device
 // model; unknown names error.
 func TestDeviceFlagWiring(t *testing.T) {
@@ -76,19 +124,23 @@ func TestDeviceFlagWiring(t *testing.T) {
 // TestEngineFlagWiring: -engine/-completion map onto the stack kinds
 // and completion modes.
 func TestEngineFlagWiring(t *testing.T) {
+	uringOn := func(m repro.UringMode) repro.StackLayer {
+		return repro.StackLayer{Kind: repro.IOUring, Uring: &repro.UringConfig{Mode: m}}
+	}
 	cases := []struct {
 		engine, completion string
-		stack              repro.SystemConfig
+		stack              repro.StackLayer
+		cores              int
 	}{
-		{"pvsync2", "interrupt", repro.SystemConfig{Stack: repro.KernelSync, Mode: repro.Interrupt}},
-		{"pvsync2", "poll", repro.SystemConfig{Stack: repro.KernelSync, Mode: repro.Poll}},
-		{"pvsync2", "hybrid", repro.SystemConfig{Stack: repro.KernelSync, Mode: repro.Hybrid}},
-		{"libaio", "interrupt", repro.SystemConfig{Stack: repro.KernelAsync}},
-		{"spdk", "interrupt", repro.SystemConfig{Stack: repro.SPDK}},
-		{"io_uring", "interrupt", repro.SystemConfig{Stack: repro.IOUring, Uring: repro.UringConfig{Mode: repro.UringInterrupt}}},
-		{"io_uring", "poll", repro.SystemConfig{Stack: repro.IOUring, Uring: repro.UringConfig{Mode: repro.UringPoll}}},
-		{"io_uring", "hybrid", repro.SystemConfig{Stack: repro.IOUring, Uring: repro.UringConfig{Mode: repro.UringHybrid}}},
-		{"io_uring", "sqpoll", repro.SystemConfig{Stack: repro.IOUring, Uring: repro.UringConfig{Mode: repro.UringSQPoll}, Cores: 2}},
+		{"pvsync2", "interrupt", repro.StackLayer{Kind: repro.KernelSync, Mode: repro.Interrupt}, 0},
+		{"pvsync2", "poll", repro.StackLayer{Kind: repro.KernelSync, Mode: repro.Poll}, 0},
+		{"pvsync2", "hybrid", repro.StackLayer{Kind: repro.KernelSync, Mode: repro.Hybrid}, 0},
+		{"libaio", "interrupt", repro.StackLayer{Kind: repro.KernelAsync}, 0},
+		{"spdk", "interrupt", repro.StackLayer{Kind: repro.SPDK}, 0},
+		{"io_uring", "interrupt", uringOn(repro.UringInterrupt), 0},
+		{"io_uring", "poll", uringOn(repro.UringPoll), 0},
+		{"io_uring", "hybrid", uringOn(repro.UringHybrid), 0},
+		{"io_uring", "sqpoll", uringOn(repro.UringSQPoll), 2},
 	}
 	for _, c := range cases {
 		got, err := stackFor(c.engine, c.completion)
@@ -96,9 +148,15 @@ func TestEngineFlagWiring(t *testing.T) {
 			t.Errorf("stackFor(%q, %q): %v", c.engine, c.completion, err)
 			continue
 		}
-		if got.Stack != c.stack.Stack || got.Mode != c.stack.Mode ||
-			got.Uring != c.stack.Uring || got.Cores != c.stack.Cores {
+		if !reflect.DeepEqual(got, c.stack) {
 			t.Errorf("stackFor(%q, %q) = %+v, want %+v", c.engine, c.completion, got, c.stack)
+		}
+		topo, err := parse(t, "-engine", c.engine, "-completion", c.completion).topology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.Cores != c.cores {
+			t.Errorf("%s/%s built %d cores, want %d", c.engine, c.completion, topo.Cores, c.cores)
 		}
 	}
 	if _, err := stackFor("uring", "interrupt"); err == nil {

@@ -9,10 +9,8 @@ import (
 // ExampleRunJob runs a small random-read job on the ULL SSD and reports
 // the measured I/O count.
 func ExampleRunJob() {
-	sys := repro.NewSystem(repro.SystemConfig{
-		Device:       repro.ZSSD(),
-		Stack:        repro.KernelSync,
-		Mode:         repro.Interrupt,
+	sys := repro.BuildTopology(repro.Topology{
+		Root:         repro.StackOn(repro.KernelSync, repro.Interrupt, repro.ZSSD()),
 		Precondition: 1.0,
 	})
 	res := repro.RunJob(sys, repro.Job{
@@ -30,14 +28,11 @@ func ExampleRunJob() {
 	// reads recorded: 1000
 }
 
-// ExampleNewSystem compares polled and interrupt-driven completion on
+// ExampleStackOn compares polled and interrupt-driven completion on
 // the ULL SSD — the paper's Figure 10 in four lines per mode.
-func ExampleNewSystem() {
-	mean := func(mode repro.SystemConfig) repro.Time {
-		mode.Device = repro.ZSSD()
-		mode.Stack = repro.KernelSync
-		mode.Precondition = 1.0
-		sys := repro.NewSystem(mode)
+func ExampleStackOn() {
+	mean := func(stack repro.StackLayer) repro.Time {
+		sys := repro.BuildTopology(repro.Topology{Root: stack, Precondition: 1.0})
 		res := repro.RunJob(sys, repro.Job{
 			Spec: repro.Spec{
 				Pattern: repro.RandRead, BlockSize: 4096, TotalIOs: 2000, Seed: 3,
@@ -45,8 +40,8 @@ func ExampleNewSystem() {
 		})
 		return res.All.Mean()
 	}
-	poll := mean(repro.SystemConfig{Mode: repro.Poll})
-	intr := mean(repro.SystemConfig{Mode: repro.Interrupt})
+	poll := mean(repro.StackOn(repro.KernelSync, repro.Poll, repro.ZSSD()))
+	intr := mean(repro.StackOn(repro.KernelSync, repro.Interrupt, repro.ZSSD()))
 	fmt.Println("polling beats interrupts:", poll < intr)
 	// Output:
 	// polling beats interrupts: true

@@ -30,19 +30,13 @@ func main() {
 			results := map[string]out{}
 			for _, m := range []struct {
 				label string
-				mode  int
-			}{{"interrupt", 0}, {"poll", 1}, {"hybrid", 2}} {
-				cfg := repro.DefaultSystemConfig(dev.cfg)
-				switch m.mode {
-				case 0:
-					cfg.Mode = repro.Interrupt
-				case 1:
-					cfg.Mode = repro.Poll
-				case 2:
-					cfg.Mode = repro.Hybrid
-				}
-				cfg.Precondition = 1.0
-				sys := repro.NewSystem(cfg)
+				stack repro.StackLayer
+			}{
+				{"interrupt", repro.StackOn(repro.KernelSync, repro.Interrupt, dev.cfg)},
+				{"poll", repro.StackOn(repro.KernelSync, repro.Poll, dev.cfg)},
+				{"hybrid", repro.StackOn(repro.KernelSync, repro.Hybrid, dev.cfg)},
+			} {
+				sys := repro.BuildTopology(repro.Topology{Root: m.stack, Precondition: 1.0})
 				res := repro.RunJob(sys, repro.Job{
 					Spec: repro.Spec{
 						Pattern:   repro.RandRead,
@@ -52,7 +46,7 @@ func main() {
 						Seed:      7,
 					},
 				})
-				u := sys.Core.Utilization(sys.Eng.Now())
+				u := sys.CPU().Utilization(sys.Engine().Now())
 				results[m.label] = out{res.All.Mean(), u.User + u.Kernel}
 			}
 			saves := 100 * float64(results["interrupt"].lat-results["poll"].lat) /

@@ -44,8 +44,8 @@ func fsWriter(dev repro.DeviceConfig, mode repro.JournalMode) *repro.TopologySys
 // the yardstick the fsync bill is compared against.
 func rawWriteMean(dev repro.DeviceConfig) repro.Time {
 	dev.Seed ^= seed
-	sys := repro.NewSystem(repro.SystemConfig{
-		Device: dev, Stack: repro.KernelAsync, Precondition: 0.9,
+	sys := repro.BuildTopology(repro.Topology{
+		Root: repro.StackOn(repro.KernelAsync, 0, dev), Precondition: 0.9,
 	})
 	res := repro.RunJob(sys, repro.Job{
 		Spec: repro.Spec{

@@ -29,10 +29,10 @@ func interference() {
 			name string
 			cfg  repro.DeviceConfig
 		}{{"ULL", repro.ZSSD()}, {"NVMe", repro.NVMe750()}} {
-			cfg := repro.DefaultSystemConfig(dev.cfg)
-			cfg.Stack = repro.KernelAsync
-			cfg.Precondition = 1.0
-			sys := repro.NewSystem(cfg)
+			sys := repro.BuildTopology(repro.Topology{
+				Root:         repro.StackOn(repro.KernelAsync, 0, dev.cfg),
+				Precondition: 1.0,
+			})
 			row[dev.name] = repro.RunJob(sys, repro.Job{
 				Spec: repro.Spec{
 					Pattern:       repro.RandRW,
@@ -70,10 +70,10 @@ func gcCliff() {
 		{"NVMe", repro.NVMe750(), 400 * repro.Millisecond},
 		{"ULL", repro.ZSSD(), 250 * repro.Millisecond},
 	} {
-		cfg := repro.DefaultSystemConfig(dev.cfg)
-		cfg.Stack = repro.KernelAsync
-		cfg.Precondition = 1.0
-		sys := repro.NewSystem(cfg)
+		sys := repro.BuildTopology(repro.Topology{
+			Root:         repro.StackOn(repro.KernelAsync, 0, dev.cfg),
+			Precondition: 1.0,
+		})
 		res := repro.RunJob(sys, repro.Job{
 			Spec: repro.Spec{
 				Pattern:      repro.RandWrite,
@@ -84,7 +84,7 @@ func gcCliff() {
 			},
 			QueueDepth: 8,
 		})
-		st := sys.Dev.Stats()
+		st := sys.Devices()[0].Stats()
 		fmt.Printf("%s: sustained 4KB random writes for %v\n", dev.name, dev.dur)
 		for _, p := range res.WriteSeries.Points() {
 			if p.Count == 0 {

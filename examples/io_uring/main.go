@@ -16,17 +16,17 @@ import (
 	"repro"
 )
 
-func uringSystem(mode repro.UringMode, cores int, seed uint64) *repro.System {
-	cfg := repro.DefaultSystemConfig(repro.ZSSD())
-	cfg.Stack = repro.IOUring
-	cfg.Uring = repro.UringConfig{Mode: mode}
-	cfg.Cores = cores
-	cfg.Precondition = 1.0
-	cfg.Device.Seed ^= seed
-	return repro.NewSystem(cfg)
+func uringSystem(mode repro.UringMode, cores int, seed uint64) *repro.TopologySystem {
+	dev := repro.ZSSD()
+	dev.Seed ^= seed
+	return repro.BuildTopology(repro.Topology{
+		Root:         repro.UringOn(mode, dev),
+		Cores:        cores,
+		Precondition: 1.0,
+	})
 }
 
-func run(sys *repro.System, depth, ios int, seed uint64) *repro.Result {
+func run(sys *repro.TopologySystem, depth, ios int, seed uint64) *repro.Result {
 	res := repro.RunJob(sys, repro.Job{
 		Spec: repro.Spec{
 			Pattern:   repro.RandRead,
@@ -63,11 +63,10 @@ func main() {
 		const ios = 4000
 		sys := uringSystem(m.mode, m.cores, seed)
 		res := run(sys, 1, ios, seed)
-		g := sys.Graph()
-		cpuPerIO := float64(g.CPU().BusyTime()) / float64(ios+ios/10)
+		cpuPerIO := float64(sys.CPU().BusyTime()) / float64(ios+ios/10)
 		fmt.Fprintf(w, "%s\t%.2fus\t%.2fus\t%.2fus\t%.2f\n",
 			m.name, res.All.Mean().Micros(), res.All.Percentile(0.99).Micros(),
-			cpuPerIO/1e3, g.CoreSet().BusyCores(sys.Eng.Now()))
+			cpuPerIO/1e3, sys.CoreSet().BusyCores(sys.Engine().Now()))
 	}
 	w.Flush()
 	fmt.Println()
@@ -92,9 +91,8 @@ func main() {
 		const ios = 12000
 		sys := uringSystem(m.mode, m.cores, seed)
 		res := run(sys, 32, ios, seed)
-		g := sys.Graph()
-		cs := g.CoreSet()
-		now := sys.Eng.Now()
+		cs := sys.CoreSet()
+		now := sys.Engine().Now()
 		busy := cs.BusyCores(now)
 		split := ""
 		for i, u := range cs.Utilization(now) {

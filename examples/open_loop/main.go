@@ -18,15 +18,16 @@ import (
 	"repro/internal/workload"
 )
 
-func ullSystem(seed uint64) *core.System {
-	cfg := core.DefaultConfig(ssd.ZSSD())
-	cfg.Stack = core.KernelAsync
-	cfg.Precondition = 0.9
-	cfg.Device.Seed ^= seed
-	return core.NewSystem(cfg)
+func ullSystem(seed uint64) *core.Graph {
+	dev := ssd.ZSSD()
+	dev.Seed ^= seed
+	return core.Build(core.Topology{
+		Root:         core.Stack{Kind: core.KernelAsync, Queue: core.Queue{Device: dev}},
+		Precondition: 0.9,
+	})
 }
 
-func region(sys *core.System) int64 {
+func region(sys *core.Graph) int64 {
 	r := int64(0.9 * float64(sys.ExportedBytes()))
 	return r >> 20 << 20
 }

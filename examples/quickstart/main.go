@@ -12,10 +12,8 @@ import (
 func main() {
 	// A Z-SSD behind the pvsync2 syscall path with polled completion,
 	// preconditioned so reads touch real (simulated) flash.
-	sys := repro.NewSystem(repro.SystemConfig{
-		Device:       repro.ZSSD(),
-		Stack:        repro.KernelSync,
-		Mode:         repro.Poll,
+	sys := repro.BuildTopology(repro.Topology{
+		Root:         repro.StackOn(repro.KernelSync, repro.Poll, repro.ZSSD()),
 		Precondition: 1.0,
 	})
 
@@ -33,7 +31,7 @@ func main() {
 	fmt.Printf("  %s\n", res.All.Summarize())
 	fmt.Printf("  bandwidth: %.1f MB/s  iops: %.0f\n", res.BandwidthMBps(), res.IOPS())
 
-	u := sys.Core.Utilization(sys.Eng.Now())
+	u := sys.CPU().Utilization(sys.Engine().Now())
 	fmt.Printf("  cpu: %.1f%% user, %.1f%% kernel, %.1f%% idle\n", u.User, u.Kernel, u.Idle)
 	fmt.Printf("  the polling cost: %.1f%% of the core spent in blk_mq_poll/nvme_poll\n",
 		u.Kernel)

@@ -24,13 +24,14 @@ import (
 
 const seed = 42
 
-// stripe builds a width-way RAID-0 of Z-SSDs behind one stack kind.
-func stripe(kind repro.SystemConfig, width int) *repro.TopologySystem {
+// stripe builds a width-way RAID-0 of Z-SSDs, each behind a copy of
+// leaf.
+func stripe(leaf repro.StackLayer, width int) *repro.TopologySystem {
+	leaf.Queue.Device = repro.ZSSD()
+	leaf.Queue.Device.Seed ^= seed
 	children := make([]repro.Layer, width)
 	for i := range children {
-		dev := repro.ZSSD()
-		dev.Seed ^= seed
-		children[i] = repro.StackOn(kind.Stack, kind.Mode, dev)
+		children[i] = leaf
 	}
 	return repro.BuildTopology(repro.Topology{
 		Root:         repro.StripedVolume(64<<10, children...),
@@ -48,15 +49,15 @@ func main() {
 	fmt.Println("stack        width  kIOPS   vs w1   p99 us")
 	for _, st := range []struct {
 		name string
-		cfg  repro.SystemConfig
+		leaf repro.StackLayer
 	}{
-		{"kernel-poll", repro.SystemConfig{Stack: repro.KernelSync, Mode: repro.Poll}},
-		{"libaio", repro.SystemConfig{Stack: repro.KernelAsync}},
-		{"spdk", repro.SystemConfig{Stack: repro.SPDK}},
+		{"kernel-poll", repro.StackLayer{Kind: repro.KernelSync, Mode: repro.Poll}},
+		{"libaio", repro.StackLayer{Kind: repro.KernelAsync}},
+		{"spdk", repro.StackLayer{Kind: repro.SPDK}},
 	} {
 		base := 0.0
 		for _, width := range []int{1, 2, 4} {
-			vol := stripe(st.cfg, width)
+			vol := stripe(st.leaf, width)
 			res := repro.RunJob(vol, repro.Job{
 				Spec: repro.Spec{
 					Pattern: repro.RandRead, BlockSize: 4096, TotalIOs: 3000, WarmupIOs: 300,

@@ -24,10 +24,10 @@ func deviceTails() {
 		name string
 		cfg  repro.DeviceConfig
 	}{{"ULL", repro.ZSSD()}, {"NVMe", repro.NVMe750()}} {
-		cfg := repro.DefaultSystemConfig(dev.cfg)
-		cfg.Stack = repro.KernelAsync
-		cfg.Precondition = 1.0
-		sys := repro.NewSystem(cfg)
+		sys := repro.BuildTopology(repro.Topology{
+			Root:         repro.StackOn(repro.KernelAsync, 0, dev.cfg),
+			Precondition: 1.0,
+		})
 		res := repro.RunJob(sys, repro.Job{
 			Spec: repro.Spec{
 				Pattern:   repro.RandRead,
@@ -55,18 +55,13 @@ func pollInversion() {
 	fmt.Fprintln(w, "completion\tmean\tp99.999")
 	stats := map[string]repro.Summary{}
 	for _, m := range []struct {
-		name string
-		mode int
-	}{{"interrupt", 0}, {"poll", 1}} {
-		cfg := repro.DefaultSystemConfig(repro.ZSSD())
-		cfg.Stack = repro.KernelSync
-		if m.mode == 0 {
-			cfg.Mode = repro.Interrupt
-		} else {
-			cfg.Mode = repro.Poll
-		}
-		cfg.Precondition = 1.0
-		sys := repro.NewSystem(cfg)
+		name  string
+		stack repro.StackLayer
+	}{
+		{"interrupt", repro.StackOn(repro.KernelSync, repro.Interrupt, repro.ZSSD())},
+		{"poll", repro.StackOn(repro.KernelSync, repro.Poll, repro.ZSSD())},
+	} {
+		sys := repro.BuildTopology(repro.Topology{Root: m.stack, Precondition: 1.0})
 		res := repro.RunJob(sys, repro.Job{
 			Spec: repro.Spec{
 				Pattern:   repro.RandRead,

@@ -19,10 +19,10 @@ import (
 func main() {
 	// 1. Record a mixed workload on the NVMe SSD.
 	rec := trace.NewRecorder()
-	nvmeCfg := core.DefaultConfig(ssd.NVMe750())
-	nvmeCfg.Stack = core.KernelAsync
-	nvmeCfg.Precondition = 0.9
-	nvmeSys := core.NewSystem(nvmeCfg)
+	nvmeSys := core.Build(core.Topology{
+		Root:         core.Stack{Kind: core.KernelAsync, Queue: core.Queue{Device: ssd.NVMe750()}},
+		Precondition: 0.9,
+	})
 	region := int64(0.9*float64(nvmeSys.ExportedBytes())) >> 20 << 20
 	res := workload.Run(nvmeSys, workload.Job{
 		Spec: workload.Spec{
@@ -62,13 +62,14 @@ func main() {
 	fmt.Printf("trace file: %d events via %s\n", len(events), f.Name())
 
 	// 3. Replay the identical stream, open loop, against the ULL SSD.
-	ullCfg := core.DefaultConfig(ssd.ZSSD())
-	ullCfg.Stack = core.KernelAsync
-	ullCfg.Precondition = 1.0 // ULL device is larger; same offsets stay valid
-	ullSys := core.NewSystem(ullCfg)
+	ullSys := core.Build(core.Topology{
+		Root: core.Stack{Kind: core.KernelAsync, Queue: core.Queue{Device: ssd.ZSSD()}},
+		// ULL device is larger; same offsets stay valid
+		Precondition: 1.0,
+	})
 	out := trace.NewRecorder()
-	trace.Replay(ullSys.Eng, replayTarget{ullSys}, events, out)
-	ullSys.Eng.Run()
+	trace.Replay(ullSys.Engine(), ullSys, events, out)
+	ullSys.Engine().Run()
 
 	var nvmeHist, ullHist histo
 	for _, e := range events {
@@ -83,13 +84,6 @@ func main() {
 	fmt.Printf("  ULL SSD:  mean %8.1fus   max %8.1fus\n", ullHist.mean().Micros(), ullHist.max.Micros())
 	fmt.Printf("  speedup:  %.1fx on the mean\n",
 		float64(nvmeHist.mean())/float64(ullHist.mean()))
-}
-
-// replayTarget adapts core.System to trace.Target.
-type replayTarget struct{ sys *core.System }
-
-func (t replayTarget) Submit(write bool, off int64, n int, done func()) {
-	t.sys.Submit(write, off, n, done)
 }
 
 type histo struct {

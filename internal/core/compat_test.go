@@ -1,11 +1,11 @@
 package core_test
 
-// The fixed-seed compatibility guard for the topology redesign: the old
-// NewSystem(Config) one-device shorthand now lowers onto the layer
-// graph, and these goldens — captured from the direct wiring the
-// shorthand replaced — pin the lowering to bit-exact equivalence. Any
-// drift in construction order, seeding, or event scheduling shows up
-// here as a changed latency integral.
+// The fixed-seed compatibility guard for the topology redesign: a
+// one-device system is built by lowering one Stack onto the layer
+// graph, and these goldens — captured from the direct wiring the graph
+// replaced — pin the lowering to bit-exact equivalence. Any drift in
+// construction order, seeding, or event scheduling shows up here as a
+// changed latency integral.
 //
 // Every case also pins each CPU function's counters (time, loads,
 // stores, calls) after Finalize, so a refactor of the host stacks that
@@ -27,7 +27,7 @@ import (
 	"repro/internal/workload"
 )
 
-func TestNewSystemCompatGoldens(t *testing.T) {
+func TestStackCompatGoldens(t *testing.T) {
 	type tc struct {
 		name  string
 		stack core.StackKind
@@ -61,15 +61,14 @@ func TestNewSystemCompatGoldens(t *testing.T) {
 			if c.nvme {
 				dev = ssd.NVMe750()
 			}
-			cfg := core.DefaultConfig(dev)
-			cfg.Stack = c.stack
-			cfg.Mode = c.mode
-			cfg.Uring.Mode = c.umode
-			cfg.Precondition = 0.9
-			cfg.Device.Seed = dev.Seed ^ 0xd5eed
-			sys := core.NewSystem(cfg)
-			region := int64(0.9*float64(sys.ExportedBytes())) >> 20 << 20
-			res := workload.Run(sys, workload.Job{
+			dev.Seed ^= 0xd5eed
+			g := core.Build(core.Topology{
+				Root: core.Stack{Kind: c.stack, Mode: c.mode,
+					Uring: &uring.Config{Mode: c.umode}, Queue: core.Queue{Device: dev}},
+				Precondition: 0.9,
+			})
+			region := int64(0.9*float64(g.ExportedBytes())) >> 20 << 20
+			res := workload.Run(g, workload.Job{
 				Spec: workload.Spec{
 					Pattern:       workload.RandRW,
 					WriteFraction: 0.3,
@@ -93,7 +92,7 @@ func TestNewSystemCompatGoldens(t *testing.T) {
 			// Every function's counters, including the all-zero ones.
 			wantFns := fnGoldens[c.name]
 			for fn := cpu.Fn(0); fn < cpu.NumFns; fn++ {
-				a := sys.Core.Acct(fn)
+				a := g.CPU().Acct(fn)
 				got := fmt.Sprintf("%d/%d/%d/%d", a.Time, a.Loads, a.Stores, a.Calls)
 				want, ok := wantFns[fn.String()]
 				if !ok {

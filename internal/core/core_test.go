@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/nvme"
 	"repro/internal/sim"
+	"repro/internal/spdk"
 	"repro/internal/ssd"
 )
 
@@ -18,50 +20,56 @@ func smallULL() ssd.Config {
 	return cfg
 }
 
-func runOne(s *System, write bool) sim.Time {
-	start := s.Eng.Now()
+// oneDevice builds stack st over a small ULL device.
+func oneDevice(st Stack, pre float64) *Graph {
+	st.Queue.Device = smallULL()
+	return Build(Topology{Root: st, Precondition: pre})
+}
+
+func runOne(g *Graph, write bool) sim.Time {
+	eng := g.Engine()
+	start := eng.Now()
 	var lat sim.Time
-	s.Submit(write, 0, 4096, func() { lat = s.Eng.Now() - start })
-	s.Eng.Run()
-	s.Finalize()
+	g.Submit(write, 0, 4096, func() { lat = eng.Now() - start })
+	eng.Run()
+	g.Finalize()
 	return lat
 }
 
-func TestNewSystemAllStacks(t *testing.T) {
+func TestBuildAllStacks(t *testing.T) {
 	for _, kind := range []StackKind{KernelSync, KernelAsync, SPDK} {
-		cfg := DefaultConfig(smallULL())
-		cfg.Stack = kind
-		sys := NewSystem(cfg)
-		if lat := runOne(sys, false); lat <= 0 {
+		if lat := runOne(oneDevice(Stack{Kind: kind}, 0), false); lat <= 0 {
 			t.Errorf("%v: no completion", kind)
 		}
 	}
 }
 
-func TestNewSystemFillsZeroConfigs(t *testing.T) {
-	sys := NewSystem(Config{Device: smallULL()})
-	if sys.Cfg.NVMe.Depth == 0 {
-		t.Error("NVMe config not defaulted")
-	}
-	if sys.Cfg.Kernel.PollIter() == 0 {
-		t.Error("kernel costs not defaulted")
-	}
-	if sys.Cfg.SPDK.PollIter() == 0 {
-		t.Error("SPDK costs not defaulted")
-	}
-	if lat := runOne(sys, true); lat <= 0 {
-		t.Error("zero-config system does not complete I/O")
+// TestBuildFillsZeroConfigs: a Stack with nil cost tables and a zero
+// NVMe config builds the calibrated defaults, so it runs exactly like
+// one given them explicitly.
+func TestBuildFillsZeroConfigs(t *testing.T) {
+	for _, kind := range []StackKind{KernelSync, SPDK} {
+		kc, sc := kernel.DefaultCosts(), spdk.DefaultCosts()
+		explicit := Build(Topology{Root: Stack{Kind: kind, Kernel: &kc, SPDK: &sc,
+			Queue: Queue{Device: smallULL(), NVMe: nvme.DefaultConfig()}}})
+		zero := oneDevice(Stack{Kind: kind}, 0)
+		want, got := runOne(explicit, true), runOne(zero, true)
+		if got <= 0 {
+			t.Fatalf("%v: zero-config system does not complete I/O", kind)
+		}
+		if got != want || zero.CPU().BusyTime() != explicit.CPU().BusyTime() {
+			t.Errorf("%v: zero config ran %v / %v busy, explicit defaults %v / %v busy",
+				kind, got, zero.CPU().BusyTime(), want, explicit.CPU().BusyTime())
+		}
 	}
 }
 
 func TestSystemPrecondition(t *testing.T) {
-	cfg := DefaultConfig(smallULL())
-	cfg.Precondition = 1.0
-	sys := NewSystem(cfg)
-	if _, ok := sys.Dev.FTL().Lookup(0); !ok {
+	g := oneDevice(Stack{}, 1.0)
+	if _, ok := g.Devices()[0].FTL().Lookup(0); !ok {
 		t.Fatal("precondition did not map LPN 0")
 	}
-	if sys.Eng.Now() != 0 {
+	if g.Engine().Now() != 0 {
 		t.Fatal("precondition consumed simulated time")
 	}
 }
@@ -69,17 +77,15 @@ func TestSystemPrecondition(t *testing.T) {
 func TestSystemCompletionMethodsDiffer(t *testing.T) {
 	lat := map[kernel.Mode]sim.Time{}
 	for _, m := range []kernel.Mode{kernel.Interrupt, kernel.Poll} {
-		cfg := DefaultConfig(smallULL())
-		cfg.Mode = m
-		cfg.Precondition = 1.0
-		sys := NewSystem(cfg)
+		g := oneDevice(Stack{Kind: KernelSync, Mode: m}, 1.0)
+		eng := g.Engine()
 		total := sim.Time(0)
 		n := 0
 		var issue func()
 		issue = func() {
-			start := sys.Eng.Now()
-			sys.Submit(false, int64(n%32)*4096, 4096, func() {
-				total += sys.Eng.Now() - start
+			start := eng.Now()
+			g.Submit(false, int64(n%32)*4096, 4096, func() {
+				total += eng.Now() - start
 				n++
 				if n < 30 {
 					issue()
@@ -87,7 +93,7 @@ func TestSystemCompletionMethodsDiffer(t *testing.T) {
 			})
 		}
 		issue()
-		sys.Eng.Run()
+		eng.Run()
 		lat[m] = total / 30
 	}
 	if lat[kernel.Poll] >= lat[kernel.Interrupt] {
@@ -96,8 +102,8 @@ func TestSystemCompletionMethodsDiffer(t *testing.T) {
 }
 
 func TestSystemExportedBytes(t *testing.T) {
-	sys := NewSystem(DefaultConfig(smallULL()))
-	if sys.ExportedBytes() != sys.Dev.ExportedBytes() {
+	g := oneDevice(Stack{}, 0)
+	if g.ExportedBytes() != g.Devices()[0].ExportedBytes() {
 		t.Fatal("ExportedBytes mismatch")
 	}
 }

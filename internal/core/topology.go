@@ -23,8 +23,10 @@
 //     bit-exact passthrough of its child.
 //
 // Build lowers a Topology into a Graph, the Target-rooted runnable
-// system; NewSystem remains the one-device shorthand that lowers onto
-// the same graph.
+// system. A one-device system is the smallest topology:
+//
+//	Build(Topology{Root: Stack{Kind: KernelSync, Mode: kernel.Poll,
+//		Queue: Queue{Device: ssd.ZSSD()}}, Precondition: 1})
 package core
 
 import (
@@ -42,7 +44,7 @@ import (
 )
 
 // Host is the contract the workload engines drive: any Target-rooted
-// system — the one-device System shorthand or a built topology Graph.
+// system, such as a built topology Graph.
 type Host interface {
 	Target
 	// Engine returns the event engine the system schedules on.
@@ -83,8 +85,7 @@ type Layer interface {
 // build time (the build ordinal is mixed in), so a volume of
 // identically configured devices does not draw identical firmware
 // jitter on every member. Explicitly distinct seeds are honored as
-// given, and the first device is always bit-exact with the
-// single-device shorthand.
+// given, and the first device always keeps its configured seed.
 type Queue struct {
 	Device ssd.Config
 	// NVMe is the queue-pair protocol config; the zero value (Depth 0)
@@ -212,14 +213,15 @@ type Topology struct {
 	// its core is doing.
 	Cores int
 	// Precondition is the fraction of every device's LPN space instantly
-	// mapped before the run (sequential layout), as in Config.
+	// mapped before the run (sequential layout), so reads touch real
+	// media and the free-block population matches an aged device.
 	Precondition float64
 }
 
 // Graph is a built topology: one Target root over any number of stacks
 // and devices, sharing one event engine and one core set (one core by
 // default — the legacy aggregate accounting view). It satisfies Host,
-// so the workload engines drive it exactly like the one-device System.
+// so the workload engines drive one device and a volume of many alike.
 type Graph struct {
 	eng      *sim.Engine
 	cores    *cpu.CoreSet

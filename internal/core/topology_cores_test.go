@@ -107,22 +107,20 @@ func TestCoresAxisSQPollDrawsSecondCore(t *testing.T) {
 	}
 }
 
-// TestIOUringSystemShorthand drives the one-device shorthand with the
-// io_uring stack end to end.
+// TestIOUringSystemShorthand drives a one-device io_uring system end to
+// end.
 func TestIOUringSystemShorthand(t *testing.T) {
-	cfg := DefaultConfig(tinyDev(1))
-	cfg.Stack = IOUring
-	sys := NewSystem(cfg)
+	g := Build(Topology{Root: Stack{Kind: IOUring, Queue: Queue{Device: tinyDev(1)}}})
 	done := 0
 	for i := 0; i < 4; i++ {
-		sys.Submit(false, int64(i)*4096, 4096, func() { done++ })
+		g.Submit(false, int64(i)*4096, 4096, func() { done++ })
 	}
-	sys.Eng.Run()
-	sys.Finalize()
+	g.Engine().Run()
+	g.Finalize()
 	if done != 4 {
 		t.Fatalf("completed %d of 4", done)
 	}
-	if sys.Serial() {
+	if g.Serial() {
 		t.Fatal("io_uring reported serial")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/nvme"
 	"repro/internal/sim"
@@ -40,40 +41,50 @@ func TestVolumeKindString(t *testing.T) {
 	}
 }
 
-// TestNewSystemKeepsDeliberateCostTables is the regression test for the
+// TestStackKeepsDeliberateCostTables is the regression test for the
 // zero-value sentinel fix: a cost table with deliberately-zero poll
 // stages (PollIter()==0) used to be silently replaced by DefaultCosts.
-func TestNewSystemKeepsDeliberateCostTables(t *testing.T) {
+// Stack carries presence as a pointer, so every given table is honored
+// and only a nil one defaults.
+func TestStackKeepsDeliberateCostTables(t *testing.T) {
+	// charged runs one read through st and reports the CPU time fn took.
+	charged := func(st Stack, fn cpu.Fn) sim.Time {
+		t.Helper()
+		g := oneDevice(st, 0)
+		if lat := runOne(g, false); lat <= 0 {
+			t.Fatalf("%v: read did not complete", st.Kind)
+		}
+		return g.CPU().Acct(fn).Time
+	}
+
 	// A table whose poll stages are free but whose submission path is
-	// not: presence comes from the nonzero fields.
+	// not.
 	kc := kernel.Costs{}
 	kc.AppSetup.Time = 5000
-	sys := NewSystem(Config{Device: smallULL(), Kernel: kc})
-	if sys.Cfg.Kernel != kc {
-		t.Fatalf("partial kernel cost table replaced by defaults: %+v", sys.Cfg.Kernel)
+	if got := charged(Stack{Kernel: &kc}, cpu.FnAppUser); got != kc.AppSetup.Time {
+		t.Fatalf("partial kernel cost table replaced by defaults: app_user charged %v, want %v", got, kc.AppSetup.Time)
 	}
-
 	sc := spdk.Costs{}
 	sc.Submit.Time = 7000
-	sys = NewSystem(Config{Device: smallULL(), Stack: SPDK, SPDK: sc})
-	if sys.Cfg.SPDK != sc {
-		t.Fatalf("partial SPDK cost table replaced by defaults: %+v", sys.Cfg.SPDK)
+	if got := charged(Stack{Kind: SPDK, SPDK: &sc}, cpu.FnSPDKSubmit); got != sc.Submit.Time {
+		t.Fatalf("partial SPDK cost table replaced by defaults: spdk_submit charged %v, want %v", got, sc.Submit.Time)
 	}
 
-	// The fully-zero table is valid too, once KernelSet/SPDKSet says the
-	// caller meant it.
-	sys = NewSystem(Config{Device: smallULL(), KernelSet: true, SPDKSet: true})
-	if sys.Cfg.Kernel != (kernel.Costs{}) || sys.Cfg.SPDK != (spdk.Costs{}) {
-		t.Fatal("explicitly-set zero cost tables replaced by defaults")
+	// The fully-zero table is valid too.
+	zk, zs := kernel.Costs{}, spdk.Costs{}
+	if got := charged(Stack{Kernel: &zk}, cpu.FnAppUser); got != 0 {
+		t.Fatalf("zero kernel cost table replaced by defaults: app_user charged %v", got)
 	}
-	if lat := runOne(sys, false); lat <= 0 {
-		t.Fatal("zero-cost system does not complete I/O")
+	if got := charged(Stack{Kind: SPDK, SPDK: &zs}, cpu.FnSPDKSubmit); got != 0 {
+		t.Fatalf("zero SPDK cost table replaced by defaults: spdk_submit charged %v", got)
 	}
 
-	// And the zero value without the flag still defaults, as before.
-	sys = NewSystem(Config{Device: smallULL()})
-	if sys.Cfg.Kernel == (kernel.Costs{}) || sys.Cfg.SPDK == (spdk.Costs{}) {
-		t.Fatal("unset cost tables not defaulted")
+	// And a nil table still defaults.
+	if got, want := charged(Stack{}, cpu.FnAppUser), kernel.DefaultCosts().AppSetup.Time; got != want {
+		t.Fatalf("nil kernel cost table not defaulted: app_user charged %v, want %v", got, want)
+	}
+	if got, want := charged(Stack{Kind: SPDK}, cpu.FnSPDKSubmit), spdk.DefaultCosts().Submit.Time; got != want {
+		t.Fatalf("nil SPDK cost table not defaulted: spdk_submit charged %v, want %v", got, want)
 	}
 
 	// A zero table is free on every polling completion path too: the
@@ -84,44 +95,45 @@ func TestNewSystemKeepsDeliberateCostTables(t *testing.T) {
 }
 
 func testZeroCostPolling(t *testing.T) {
-	zeroUring := func(m uring.Mode) uring.Config {
-		return uring.Config{Mode: m, Costs: &uring.Costs{}}
+	zeroUring := func(m uring.Mode) *uring.Config {
+		return &uring.Config{Mode: m, Costs: &uring.Costs{}}
 	}
-	run := func(cfg Config) (first sim.Time, busy sim.Time) {
-		cfg.Device = smallULL()
-		sys := NewSystem(cfg)
+	zk, zs := &kernel.Costs{}, &spdk.Costs{}
+	run := func(st Stack) (first sim.Time, busy sim.Time) {
+		g := oneDevice(st, 0)
+		eng := g.Engine()
 		// Several serial reads, so hybrid modes run with sleep history.
 		for i := 0; i < 8; i++ {
-			start := sys.Eng.Now()
+			start := eng.Now()
 			var lat sim.Time
-			sys.Submit(false, int64(i)*4096, 4096, func() { lat = sys.Eng.Now() - start })
-			sys.Eng.Run()
+			g.Submit(false, int64(i)*4096, 4096, func() { lat = eng.Now() - start })
+			eng.Run()
 			if lat <= 0 {
-				t.Fatalf("%v: read %d did not complete", cfg.Stack, i)
+				t.Fatalf("%v: read %d did not complete", st.Kind, i)
 			}
 			if i == 0 {
 				first = lat
 			}
 		}
-		sys.Finalize()
-		return first, sys.Core.BusyTime()
+		g.Finalize()
+		return first, g.CPU().BusyTime()
 	}
 
-	intr, _ := run(Config{Stack: KernelSync, Mode: kernel.Interrupt, KernelSet: true})
+	intr, _ := run(Stack{Kind: KernelSync, Mode: kernel.Interrupt, Kernel: zk})
 	want := intr - nvme.DefaultConfig().InterruptLatency
 	cases := []struct {
 		name string
-		cfg  Config
+		st   Stack
 	}{
-		{"pvsync2-poll", Config{Stack: KernelSync, Mode: kernel.Poll, KernelSet: true}},
-		{"pvsync2-hybrid", Config{Stack: KernelSync, Mode: kernel.Hybrid, KernelSet: true}},
-		{"spdk", Config{Stack: SPDK, SPDKSet: true}},
-		{"io_uring-poll", Config{Stack: IOUring, Uring: zeroUring(uring.Poll)}},
-		{"io_uring-hybrid", Config{Stack: IOUring, Uring: zeroUring(uring.Hybrid)}},
-		{"io_uring-sqpoll", Config{Stack: IOUring, Uring: zeroUring(uring.SQPoll)}},
+		{"pvsync2-poll", Stack{Kind: KernelSync, Mode: kernel.Poll, Kernel: zk}},
+		{"pvsync2-hybrid", Stack{Kind: KernelSync, Mode: kernel.Hybrid, Kernel: zk}},
+		{"spdk", Stack{Kind: SPDK, SPDK: zs}},
+		{"io_uring-poll", Stack{Kind: IOUring, Uring: zeroUring(uring.Poll)}},
+		{"io_uring-hybrid", Stack{Kind: IOUring, Uring: zeroUring(uring.Hybrid)}},
+		{"io_uring-sqpoll", Stack{Kind: IOUring, Uring: zeroUring(uring.SQPoll)}},
 	}
 	for _, c := range cases {
-		first, busy := run(c.cfg)
+		first, busy := run(c.st)
 		if first != want {
 			t.Errorf("%s: zero-cost poll saw the first CQE after %v, want %v (the instant it was visible)", c.name, first, want)
 		}
@@ -412,9 +424,9 @@ func TestNestedVolumes(t *testing.T) {
 }
 
 // TestQueueLeafSeedDecorrelation: identically configured members of a
-// volume must not share a firmware jitter stream, while leaf 0 stays
-// bit-exact with the single-device shorthand and explicitly distinct
-// member seeds are honored as given.
+// volume must not share a firmware jitter stream, while leaf 0 keeps
+// its configured seed and explicitly distinct member seeds are honored
+// as given.
 func TestQueueLeafSeedDecorrelation(t *testing.T) {
 	g := stripedGraph(KernelAsync, 0, 3, 64<<10)
 	c0 := g.Devices()[0].Config()

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/orchestrator"
 	"repro/internal/workload"
@@ -152,9 +155,9 @@ func TestPollBeatsInterruptOnULL(t *testing.T) {
 // several times faster than the conventional SSD's.
 func TestULLFasterThanNVMe(t *testing.T) {
 	o := Options{Quick: true}
-	ullSys := asyncSystem(ull(), o.seed())
+	ullSys := system(ull(), core.Stack{Kind: core.KernelAsync}, o.seed())
 	ullRes := run(ullSys, workload.Job{Spec: workload.Spec{Pattern: workload.RandRead, BlockSize: 4096, TotalIOs: 400, Seed: 1}})
-	nvmeSys := asyncSystem(nvme750(), o.seed())
+	nvmeSys := system(nvme750(), core.Stack{Kind: core.KernelAsync}, o.seed())
 	nvmeRes := run(nvmeSys, workload.Job{Spec: workload.Spec{Pattern: workload.RandRead, BlockSize: 4096, TotalIOs: 400, Seed: 1}})
 	ratio := float64(nvmeRes.All.Mean()) / float64(ullRes.All.Mean())
 	if ratio < 3 {
@@ -164,14 +167,14 @@ func TestULLFasterThanNVMe(t *testing.T) {
 
 func TestRunRegionConfinement(t *testing.T) {
 	o := Options{Quick: true}
-	sys := syncSystem(ull(), kernel.Interrupt, o.seed())
+	sys := system(ull(), core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}, o.seed())
 	res := run(sys, workload.Job{Spec: workload.Spec{Pattern: workload.RandRead, BlockSize: 4096, TotalIOs: 300, Seed: 2}})
 	if res.IOs != 300 {
 		t.Fatal("run did not complete")
 	}
 	// Preconditioned region: no zero-fill reads.
-	if sys.Dev.Stats().ZeroFills != 0 {
-		t.Fatalf("%d reads escaped the preconditioned region", sys.Dev.Stats().ZeroFills)
+	if sys.Devices()[0].Stats().ZeroFills != 0 {
+		t.Fatalf("%d reads escaped the preconditioned region", sys.Devices()[0].Stats().ZeroFills)
 	}
 }
 
@@ -257,21 +260,37 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// renderLane renders every table of the given experiment set into one
-// string, in registry order.
-func renderLane(t *testing.T, o Options, ids []string) string {
+// rendered is one experiment's tables, rendered in order.
+type rendered struct{ id, text string }
+
+// renderEach renders every table of the given experiment set, one
+// string per experiment, in registry order.
+func renderEach(t *testing.T, o Options, ids []string) []rendered {
 	t.Helper()
 	results, err := RunAll(o, ids...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, r := range results {
+	out := make([]rendered, len(results))
+	for i, r := range results {
+		var sb strings.Builder
 		for _, tb := range r.Tables {
 			if err := tb.Render(&sb); err != nil {
 				t.Fatal(err)
 			}
 		}
+		out[i] = rendered{r.Experiment.ID, sb.String()}
+	}
+	return out
+}
+
+// renderLane renders every table of the given experiment set into one
+// string, in registry order.
+func renderLane(t *testing.T, o Options, ids []string) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, r := range renderEach(t, o, ids) {
+		sb.WriteString(r.text)
 	}
 	return sb.String()
 }
@@ -279,14 +298,80 @@ func renderLane(t *testing.T, o Options, ids []string) string {
 // TestParallelMatchesSerial is the orchestrator's core guarantee: for a
 // fixed seed, running the experiment lane with 8 workers renders tables
 // byte-identical to the serial run. Under -short the reduced lane is
-// compared; the full lane otherwise.
+// compared; the full lane otherwise. The serial tables must also match
+// the pinned registryDigests.
 func TestParallelMatchesSerial(t *testing.T) {
 	ids := laneIDs()
-	serial := renderLane(t, Options{Quick: true, Seed: 0xd5eed, Parallel: 1}, ids)
-	pooled := renderLane(t, Options{Quick: true, Seed: 0xd5eed, Parallel: 8}, ids)
-	if serial != pooled {
-		t.Fatalf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel 8 ---\n%s", serial, pooled)
+	serial := renderEach(t, Options{Quick: true, Seed: 0xd5eed, Parallel: 1}, ids)
+	pooled := renderEach(t, Options{Quick: true, Seed: 0xd5eed, Parallel: 8}, ids)
+	for i, r := range serial {
+		if r != pooled[i] {
+			t.Fatalf("%s: parallel output differs from serial:\n--- serial ---\n%s\n--- parallel 8 ---\n%s", r.id, r.text, pooled[i].text)
+		}
 	}
+	checkRegistryDigests(t, serial)
+}
+
+// checkRegistryDigests compares each experiment's rendered tables with
+// its pinned SHA-256, so a refactor that claims byte-identical output
+// is checked against the recorded tables, not only against itself. The
+// race build shrinks sweeps (raceSet, loadPoints, ...), so its tables
+// differ by design and are not checked.
+func checkRegistryDigests(t *testing.T, lane []rendered) {
+	t.Helper()
+	if raceEnabled {
+		t.Log("race build: sweeps are shrunk, registry digests not checked")
+		return
+	}
+	for _, r := range lane {
+		sum := sha256.Sum256([]byte(r.text))
+		if got, want := hex.EncodeToString(sum[:]), registryDigests[r.id]; got != want {
+			t.Errorf("%s: rendered tables at seed 0xd5eed changed:\n\t%q: %q, // pinned %q", r.id, r.id, got, want)
+		}
+	}
+}
+
+// registryDigests pins the SHA-256 of every experiment's rendered
+// tables (quick scale, seed 0xd5eed, non-race build). A change that
+// means to alter an experiment's output re-pins its line from the
+// failure message.
+var registryDigests = map[string]string{
+	"tab1":           "c08f460682b6276b00cf5c958611ba920f553e8dba4f5c158a1c38ab389dde9f",
+	"fig4a":          "3713614618baf1f5bb903a4b1a40f9a742ea656c354b28e4e73fc93b3db60a47",
+	"fig4b":          "e2ce9bb6887bc18569f58e0f718e287c6d5f16a37feb9e407fe1882c694af4ef",
+	"fig5":           "6031361ef6649d43751d09797073f80bcb25c1f70fad754fe9a6992880042bec",
+	"fig6":           "d1cc78ac00108581bd08eaa4d65c1738b595c1ee1905f6564ea6ca70b298cb76",
+	"fig7a":          "7d0c4640370919ca6093e321402985ea3b47627e74e3e0b528d90f51300d3a9a",
+	"fig7b":          "fe9ebb654ceb3b44c977ef2e1278456c051bfb1500ce88f6bde148b6357ac1ee",
+	"fig8":           "8601a7ce6fe0b8b2287900de51c7839343dedca6c73634ce4fd8c237ea7624ce",
+	"fig9":           "d9c49ce0eb472ae6acc5baf250a5d2e6acde2239bebd87ea65042626bb3ef65c",
+	"fig10":          "dd946fe542b78d9923517c047b392ed10960f41d2707ae7540a0405656564a44",
+	"fig11":          "9a5c7eabd5507982796490eb01e617dec36912be6412af438805f6b91d2fc8c1",
+	"fig12":          "1181d1bbc3f2e0fd5c4096b7a4295287e27f4cc94ed344eaf1a9334e193b2df3",
+	"fig13":          "63e349a8d9149483d38857117e297a385bef45073120967c25596bc9f2339ecc",
+	"fig14":          "7ec200459ea762106ce50cc4709dcfcd6cdd810ce20bd200624c6bfad30761e3",
+	"fig15":          "602cecd8df3a8db03f7ef49c48385cfe8e9eb0f510cdfa0ced5dcb263cafe63b",
+	"fig16":          "d0cf9b298addaa4bd76eac39959cad26b4fec20bd723280ca8f00403e0d348aa",
+	"fig17":          "8d501dfbb86df03171a60833f686c043f2d36095f2666db467506df57a0bdf13",
+	"fig18":          "c45d616d63cc2ac2498fc5514e2709a1e342fa9ad2adfcdedb053336d439f4ab",
+	"fig19":          "804f3e094650c307cdeda703fba1c907db8d25feb754583fa4242254fed907f9",
+	"fig20":          "9cc8516ad0d6279ed48c29ced7b11d0bcdc5b0d6b4e1067690a73ad4845c3458",
+	"fig21":          "5f362200ff693986de379fb375bd8824bfe5e8d0560ac1ce47952e1d003fd392",
+	"fig22":          "6ceec4201761d38f0e38bf78aee0df9cd6fb63c5872ea75512aff483ccd2e8fe",
+	"fig23":          "97f680c735adcdd01ee423e968b09db5f9425247866c823b1913858a1f863520",
+	"ext-lightq":     "95628c34881c783df694378548c8d16e2a6a10096e2782fccfde9c7ced5fcc0d",
+	"ext-pollopt":    "65e07fbf62c21d7995da33a22148f2a1911e0cfc1d1a00a2968d0b3fc050ed5c",
+	"ext-fsync":      "0c811ee46faed3b3b11a84226f32aa22b1a41d2f6985c5fdf7cb2b17c1155da7",
+	"ext-buffered":   "5cb17de1a8574991a959d169847cda8a87e9bbcb1586b2da5b18d672a18f93f4",
+	"ext-cachewb":    "aad2d0b510e6981f60ad1d0dfd4c242fa34ef5b0865afd723a2c19def1f9a55e",
+	"ext-ycsb":       "f5f47f37b73ddcdedb09cac031a4575a43dc78e6d0d6593213198fc7c394a82b",
+	"ext-compaction": "533205bca7de87db9dc443035fc963013ca98cc428060240ce7e78797bf59560",
+	"ext-loadcurve":  "66b51e4699eca30d5ae69c8cd96a26498d137c10984cb5261dd677e5b3eb72e4",
+	"ext-tenants":    "799010b5ec05a8c387ca2f65eb4d12508b52d2a54215957f17d8151bbba7b673",
+	"ext-percore":    "6cdabb55bc81e93eb69924a9bbd9f618b2445e48c0ce387a70d5dc5e0d3a8f1f",
+	"ext-stripe":     "5da949bc25091c7025c399fe5b3e54db865e4e14b741a5463c66bf4f6ae1a4f8",
+	"ext-tier":       "32be59b4580aebdd4734e9663e6b462613c0212e93dc8319f295b9cc74a3bfcd",
+	"ext-uring":      "415be43528f2091dd955c727b359066c852fdd6c107440d318692cfd54196910",
 }
 
 // TestFig4aDeterministic asserts that two runs with the same seed render

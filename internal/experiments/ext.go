@@ -28,12 +28,7 @@ func planExtLightQ(o Options) *Plan {
 	ios := o.scale(2000, 50000)
 
 	measure := func(mode kernel.Mode, p workload.Pattern, q nvme.Config, seed uint64) sim.Time {
-		cfg := core.DefaultConfig(ull())
-		cfg.Mode = mode
-		cfg.NVMe = q
-		cfg.Precondition = precondFraction
-		cfg.Device.Seed = cfg.Device.Seed ^ seed
-		sys := core.NewSystem(cfg)
+		sys := system(ull(), core.Stack{Kind: core.KernelSync, Mode: mode, Queue: core.Queue{NVMe: q}}, seed)
 		res := run(sys, workload.Job{
 			Spec: workload.Spec{
 				Pattern:   p,
@@ -98,12 +93,7 @@ func planExtPollOpt(o Options) *Plan {
 	}
 
 	measure := func(p workload.Pattern, costs kernel.Costs, seed uint64) measured {
-		cfg := core.DefaultConfig(ull())
-		cfg.Mode = kernel.Poll
-		cfg.Kernel = costs
-		cfg.Precondition = precondFraction
-		cfg.Device.Seed = cfg.Device.Seed ^ seed
-		sys := core.NewSystem(cfg)
+		sys := system(ull(), core.Stack{Kind: core.KernelSync, Mode: kernel.Poll, Kernel: &costs}, seed)
 		res := run(sys, workload.Job{
 			Spec: workload.Spec{
 				Pattern:   p,
@@ -113,7 +103,7 @@ func planExtPollOpt(o Options) *Plan {
 				Seed:      seed,
 			},
 		})
-		u := sys.Core.Utilization(sys.Eng.Now())
+		u := sys.CPU().Utilization(sys.Engine().Now())
 		return measured{mean: res.All.Mean(), kernelCPU: u.Kernel}
 	}
 

@@ -49,17 +49,6 @@ func fsGraph(dev ssd.Config, stack core.StackKind, mode kernel.Mode, fcfg fs.Con
 	})
 }
 
-// fsRawSystem is the bare-stack reference the filesystem runs are
-// compared against (same race-shrunk geometry, same seed mixing).
-func fsRawSystem(dev ssd.Config, stack core.StackKind, mode kernel.Mode, seed uint64) *core.System {
-	cfg := core.DefaultConfig(topoDev(dev))
-	cfg.Stack = stack
-	cfg.Mode = mode
-	cfg.Precondition = precondFraction
-	cfg.Device.Seed ^= seed
-	return core.NewSystem(cfg)
-}
-
 // --- ext-fsync ---
 
 // fsyncDevices pairs the two device classes; the race lane keeps one.
@@ -107,7 +96,7 @@ type fsyncPoint struct {
 // the same device as the yardstick.
 func measureFsyncPoint(dev fsyncDev, mode fs.JournalMode, o Options, seed uint64) fsyncPoint {
 	cal, ios := fsyncIOs(o)
-	raw := fsRawSystem(dev.cfg(), core.KernelAsync, 0, seed)
+	raw := system(topoDev(dev.cfg()), core.Stack{Kind: core.KernelAsync}, seed)
 	rawRes := run(raw, workload.Job{
 		Spec: workload.Spec{
 			Pattern: workload.RandWrite, BlockSize: 4096,
@@ -123,7 +112,7 @@ func measureFsyncPoint(dev fsyncDev, mode fs.JournalMode, o Options, seed uint64
 		Spec: workload.Spec{
 			Pattern: workload.RandWrite, BlockSize: 4096,
 			TotalIOs: ios, WarmupIOs: ios / 10, SyncEvery: 8,
-			Region: confineGraph(g), Seed: seed,
+			Region: confineRegion(g), Seed: seed,
 		},
 		QueueDepth: 4,
 	})
@@ -227,7 +216,7 @@ type bufferedPoint struct {
 // a warmed cache (every read hits).
 func measureBufferedPoint(dev fsyncDev, st bufStack, o Options, seed uint64) bufferedPoint {
 	ios := bufferedIOs(o)
-	direct := fsRawSystem(dev.cfg(), st.kind, st.mode, seed)
+	direct := system(topoDev(dev.cfg()), core.Stack{Kind: st.kind, Mode: st.mode}, seed)
 	dRes := run(direct, workload.Job{
 		Spec: workload.Spec{
 			Pattern: workload.RandRead, BlockSize: 4096,
@@ -242,7 +231,7 @@ func measureBufferedPoint(dev fsyncDev, st bufStack, o Options, seed uint64) buf
 		Spec: workload.Spec{
 			Pattern: workload.RandRead, BlockSize: 4096,
 			TotalIOs: ios, WarmupIOs: ios / 10,
-			Region: confineGraph(miss), Seed: seed,
+			Region: confineRegion(miss), Seed: seed,
 		},
 	})
 
@@ -357,7 +346,7 @@ func measureCWBPoint(ratio, frac float64, o Options, seed uint64) cwbPoint {
 	res := workload.Run(g, workload.Job{
 		Spec: workload.Spec{
 			Pattern: workload.RandRW, WriteFraction: frac, BlockSize: 4096, TotalIOs: ios, WarmupIOs: ios / 10,
-			Region: confineGraph(g), Seed: seed,
+			Region: confineRegion(g), Seed: seed,
 		},
 		QueueDepth: 4,
 	})

@@ -27,14 +27,14 @@ func init() {
 // loadStack is one host stack of the load sweep.
 type loadStack struct {
 	name  string
-	build func(seed uint64) *core.System
+	stack core.Stack
 }
 
 func loadStacks() []loadStack {
 	return []loadStack{
-		{"kernel-int", func(seed uint64) *core.System { return syncSystem(ull(), kernel.Interrupt, seed) }},
-		{"kernel-poll", func(seed uint64) *core.System { return syncSystem(ull(), kernel.Poll, seed) }},
-		{"spdk", func(seed uint64) *core.System { return spdkSystem(ull(), seed) }},
+		{"kernel-int", core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}},
+		{"kernel-poll", core.Stack{Kind: core.KernelSync, Mode: kernel.Poll}},
+		{"spdk", core.Stack{Kind: core.SPDK}},
 	}
 }
 
@@ -80,7 +80,7 @@ type loadPoint struct {
 // simulated device.
 func measureLoadPoint(st loadStack, rho float64, o Options, seed uint64) loadPoint {
 	calIOs, dur := loadCurveScale(o)
-	sys := st.build(seed)
+	sys := system(ull(), st.stack, seed)
 	calRes := run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:   workload.RandRead,
@@ -186,14 +186,14 @@ func measureTenantPoint(frac float64, o Options, seed uint64) tenantPoint {
 	// The read calibration shares the tenants' system (reads do not age
 	// the FTL); the write calibration gets its own so its media writes
 	// cannot leak into the measurement device's state.
-	sys := asyncSystem(ull(), seed)
+	sys := system(ull(), core.Stack{Kind: core.KernelAsync}, seed)
 	readSvc := run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern: workload.RandRead, BlockSize: 4096,
 			TotalIOs: calIOs, WarmupIOs: calIOs / 10, Seed: seed,
 		},
 	}).All.Mean()
-	calW := asyncSystem(ull(), seed)
+	calW := system(ull(), core.Stack{Kind: core.KernelAsync}, seed)
 	writeSvc := run(calW, workload.Job{
 		Spec: workload.Spec{
 			Pattern: workload.SeqWrite, BlockSize: tenantWriteBS,

@@ -40,17 +40,17 @@ func init() {
 type percoreStack struct {
 	name    string
 	polling bool
-	build   func(seed uint64) *core.System
+	stack   core.Stack
 }
 
 func percoreStacks() []percoreStack {
 	all := []percoreStack{
-		{"kernel-int", false, func(s uint64) *core.System { return syncSystem(ull(), kernel.Interrupt, s) }},
-		{"kernel-poll", true, func(s uint64) *core.System { return syncSystem(ull(), kernel.Poll, s) }},
-		{"libaio", false, func(s uint64) *core.System { return asyncSystem(ull(), s) }},
-		{"io_uring", false, func(s uint64) *core.System { return uringSystem(ull(), uring.Interrupt, 0, s) }},
-		{"io_uring-sqpoll", true, func(s uint64) *core.System { return uringSystem(ull(), uring.SQPoll, 2, s) }},
-		{"spdk", true, func(s uint64) *core.System { return spdkSystem(ull(), s) }},
+		{"kernel-int", false, core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}},
+		{"kernel-poll", true, core.Stack{Kind: core.KernelSync, Mode: kernel.Poll}},
+		{"libaio", false, core.Stack{Kind: core.KernelAsync}},
+		{"io_uring", false, core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.Interrupt}}},
+		{"io_uring-sqpoll", true, core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.SQPoll}}},
+		{"spdk", true, core.Stack{Kind: core.SPDK}},
 	}
 	if raceEnabled {
 		// Two stacks ride the race lane — one interrupt, one with a
@@ -114,7 +114,7 @@ func (p percorePoint) perCore() float64 {
 // spin settlement would span both runs.
 func measurePercorePoint(st percoreStack, pt percoreLoad, o Options, seed uint64) percorePoint {
 	calIOs, dur := percoreScale(o)
-	cal := st.build(seed)
+	cal := system(ull(), st.stack, seed)
 	calRes := run(cal, workload.Job{
 		Spec: workload.Spec{
 			Pattern:   workload.RandRead,
@@ -126,7 +126,7 @@ func measurePercorePoint(st percoreStack, pt percoreLoad, o Options, seed uint64
 	})
 	rate := pt.rho / calRes.All.Mean().Seconds()
 
-	sys := st.build(seed)
+	sys := system(ull(), st.stack, seed)
 	res := runOpen(sys, workload.OpenJob{
 		Spec: workload.Spec{
 			Pattern:    workload.RandRead,
@@ -143,7 +143,7 @@ func measurePercorePoint(st percoreStack, pt percoreLoad, o Options, seed uint64
 	return percorePoint{
 		offered:    rate,
 		achieved:   res.IOPS(),
-		busy:       sys.Graph().CoreSet().BusyCores(sys.Eng.Now()),
+		busy:       sys.CoreSet().BusyCores(sys.Engine().Now()),
 		mean:       res.All.Mean(),
 		p99:        res.All.Percentile(99),
 		droppedPct: float64(res.Dropped) / float64(res.Offered),
@@ -203,7 +203,7 @@ func measurePercoreContend(cores int, o Options, seed uint64) percoreContendPoin
 			BlockSize:  4096,
 			Duration:   dur,
 			WarmupTime: dur / 10,
-			Region:     confineGraph(g),
+			Region:     confineRegion(g),
 			Seed:       seed,
 		},
 		Arrival:     workload.Arrival{Kind: workload.Poisson, Rate: percoreContendRate},
@@ -262,7 +262,7 @@ type percoreBudgetPoint struct {
 
 func measurePercoreBudget(b percoreBudget, o Options, seed uint64) percoreBudgetPoint {
 	_, dur := percoreScale(o)
-	sys := asyncSystem(ull(), seed)
+	sys := system(ull(), core.Stack{Kind: core.KernelAsync}, seed)
 	res := runOpen(sys, workload.OpenJob{
 		Spec: workload.Spec{
 			Pattern:    workload.RandRead,

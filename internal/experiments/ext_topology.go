@@ -43,11 +43,6 @@ func topoDev(cfg ssd.Config) ssd.Config {
 	return cfg
 }
 
-// confineGraph is confineRegion's analog for a built topology.
-func confineGraph(g *core.Graph) int64 {
-	return confineSpan(g.Precondition(), g.ExportedBytes())
-}
-
 // stripeStack is one host stack of the width sweep.
 type stripeStack struct {
 	name string
@@ -130,7 +125,7 @@ func measureStripePoint(st stripeStack, width int, o Options, seed uint64) strip
 			BlockSize: 4096,
 			TotalIOs:  ios,
 			WarmupIOs: ios / 10,
-			Region:    confineGraph(g),
+			Region:    confineRegion(g),
 			Seed:      seed,
 		},
 		QueueDepth: 2 * width,
@@ -265,7 +260,7 @@ func measureTierPoint(frac float64, o Options, seed uint64) tierPoint {
 			BlockSize:     4096,
 			TotalIOs:      ios,
 			WarmupIOs:     ios / 10,
-			Region:        confineGraph(g),
+			Region:        confineRegion(g),
 			Seed:          seed,
 		},
 		QueueDepth: 4,

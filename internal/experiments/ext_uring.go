@@ -33,17 +33,17 @@ func init() {
 // uringScheme is one completion scheme of the QD1 shootout.
 type uringScheme struct {
 	name  string
-	build func(seed uint64) *core.System
+	stack core.Stack
 }
 
 func uringSchemes() []uringScheme {
 	all := []uringScheme{
-		{"kernel-int", func(s uint64) *core.System { return syncSystem(ull(), kernel.Interrupt, s) }},
-		{"kernel-poll", func(s uint64) *core.System { return syncSystem(ull(), kernel.Poll, s) }},
-		{"kernel-hybrid", func(s uint64) *core.System { return syncSystem(ull(), kernel.Hybrid, s) }},
-		{"io_uring-int", func(s uint64) *core.System { return uringSystem(ull(), uring.Interrupt, 0, s) }},
-		{"io_uring-poll", func(s uint64) *core.System { return uringSystem(ull(), uring.Poll, 0, s) }},
-		{"io_uring-hybrid", func(s uint64) *core.System { return uringSystem(ull(), uring.Hybrid, 0, s) }},
+		{"kernel-int", core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}},
+		{"kernel-poll", core.Stack{Kind: core.KernelSync, Mode: kernel.Poll}},
+		{"kernel-hybrid", core.Stack{Kind: core.KernelSync, Mode: kernel.Hybrid}},
+		{"io_uring-int", core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.Interrupt}}},
+		{"io_uring-poll", core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.Poll}}},
+		{"io_uring-hybrid", core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.Hybrid}}},
 	}
 	if raceEnabled {
 		// The paired hybrids alone drive both adaptive-sleep code paths.
@@ -72,7 +72,7 @@ type uringModePoint struct {
 // was just as busy warming up).
 func measureUringMode(st uringScheme, o Options, seed uint64) uringModePoint {
 	n := uringModeIOs(o)
-	sys := st.build(seed)
+	sys := system(ull(), st.stack, seed)
 	res := run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:   workload.RandRead,
@@ -89,7 +89,7 @@ func measureUringMode(st uringScheme, o Options, seed uint64) uringModePoint {
 		p50:      res.All.Percentile(50),
 		p99:      res.All.Percentile(99),
 		p999:     res.All.Percentile(99.9),
-		cpuPerIO: float64(sys.Graph().CPU().BusyTime()) / float64(issued),
+		cpuPerIO: float64(sys.CPU().BusyTime()) / float64(issued),
 	}
 }
 
@@ -107,8 +107,8 @@ func uringXoverLoads() []percoreLoad {
 
 func uringXoverStacks() []percoreStack {
 	return []percoreStack{
-		{"io_uring-int", false, func(s uint64) *core.System { return uringSystem(ull(), uring.Interrupt, 0, s) }},
-		{"io_uring-sqpoll", true, func(s uint64) *core.System { return uringSystem(ull(), uring.SQPoll, 2, s) }},
+		{"io_uring-int", false, core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.Interrupt}}},
+		{"io_uring-sqpoll", true, core.Stack{Kind: core.IOUring, Uring: &uring.Config{Mode: uring.SQPoll}}},
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -37,7 +38,7 @@ func fig4Shards(o Options, pick func(*workload.Result) sim.Time) []Shard {
 				shards = append(shards, Shard{
 					Key: fmt.Sprintf("%s/%s/qd=%d", dev.name, p, qd),
 					Run: func(seed uint64) any {
-						sys := asyncSystem(dev.cfg(), seed)
+						sys := system(dev.cfg(), core.Stack{Kind: core.KernelAsync}, seed)
 						return pick(run(sys, workload.Job{
 							Spec: workload.Spec{
 								Pattern:   p,

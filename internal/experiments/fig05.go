@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -35,7 +36,7 @@ func planFig5(o Options) *Plan {
 				shards = append(shards, Shard{
 					Key: fmt.Sprintf("%s/%s/qd=%d", sweep.name, p, qd),
 					Run: func(seed uint64) any {
-						sys := asyncSystem(sweep.cfg(), seed)
+						sys := system(sweep.cfg(), core.Stack{Kind: core.KernelAsync}, seed)
 						res := run(sys, workload.Job{
 							Spec: workload.Spec{
 								Pattern:    p,

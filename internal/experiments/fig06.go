@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -29,7 +30,7 @@ func planFig6(o Options) *Plan {
 			shards = append(shards, Shard{
 				Key: fmt.Sprintf("%s/wf=%d", dev.name, int(f*100)),
 				Run: func(seed uint64) any {
-					sys := asyncSystem(dev.cfg(), seed)
+					sys := system(dev.cfg(), core.Stack{Kind: core.KernelAsync}, seed)
 					res := run(sys, workload.Job{
 						Spec: workload.Spec{
 							Pattern:       workload.RandRW,

@@ -26,12 +26,11 @@ func planFig7a(o Options) *Plan {
 	duration := sim.Time(o.scale(15, 150)) * sim.Millisecond
 
 	measure := func(dev ssd.Config, stack core.StackKind, p workload.Pattern, seed uint64) float64 {
-		cfg := core.DefaultConfig(dev)
-		cfg.Stack = stack
-		cfg.Mode = kernel.Interrupt
-		cfg.Precondition = 1.0
-		cfg.Device.Seed = dev.Seed ^ seed
-		sys := core.NewSystem(cfg)
+		dev.Seed ^= seed
+		sys := core.Build(core.Topology{
+			Root:         core.Stack{Kind: stack, Mode: kernel.Interrupt, Queue: core.Queue{Device: dev}},
+			Precondition: 1.0,
+		})
 		qd := 16
 		if stack == core.KernelSync {
 			qd = 1
@@ -45,7 +44,7 @@ func planFig7a(o Options) *Plan {
 			},
 			QueueDepth: qd,
 		})
-		return sys.Dev.Meter().AvgWatts(sys.Eng.Now())
+		return sys.Devices()[0].Meter().AvgWatts(sys.Engine().Now())
 	}
 
 	var shards []Shard
@@ -100,11 +99,11 @@ type gcRun struct {
 // gcTimeline drives sustained 4KB random writes over a preconditioned
 // device long enough for garbage collection to engage.
 func gcTimeline(dev ssd.Config, seed uint64, duration sim.Time) gcRun {
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.KernelAsync
-	cfg.Precondition = 1.0
-	cfg.Device.Seed = dev.Seed ^ seed
-	sys := core.NewSystem(cfg)
+	dev.Seed ^= seed
+	sys := core.Build(core.Topology{
+		Root:         core.Stack{Kind: core.KernelAsync, Queue: core.Queue{Device: dev}},
+		Precondition: 1.0,
+	})
 	res := run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:      workload.RandWrite,
@@ -117,8 +116,8 @@ func gcTimeline(dev ssd.Config, seed uint64, duration sim.Time) gcRun {
 	})
 	return gcRun{
 		lat:   res.WriteSeries.Points(),
-		power: sys.Dev.Meter().Trace(sys.Eng.Now()),
-		stats: sys.Dev.Stats(),
+		power: sys.Devices()[0].Meter().Trace(sys.Engine().Now()),
+		stats: sys.Devices()[0].Stats(),
 	}
 }
 

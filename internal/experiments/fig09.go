@@ -6,6 +6,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -21,7 +22,7 @@ func init() {
 
 // syncLatency runs one synchronous job and returns the result.
 func syncLatency(dev ssd.Config, mode kernel.Mode, p workload.Pattern, bs, ios int, seed uint64) *workload.Result {
-	sys := syncSystem(dev, mode, seed)
+	sys := system(dev, core.Stack{Kind: core.KernelSync, Mode: mode}, seed)
 	return run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:   p,

@@ -20,8 +20,8 @@ func init() {
 }
 
 // syncUtil runs a sync job and returns the utilization split.
-func syncUtil(mode kernel.Mode, p workload.Pattern, bs, ios int, seed uint64) (cpu.Utilization, *core.System) {
-	sys := syncSystem(ull(), mode, seed)
+func syncUtil(mode kernel.Mode, p workload.Pattern, bs, ios int, seed uint64) (cpu.Utilization, *core.Graph) {
+	sys := system(ull(), core.Stack{Kind: core.KernelSync, Mode: mode}, seed)
 	run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:   p,
@@ -31,7 +31,7 @@ func syncUtil(mode kernel.Mode, p workload.Pattern, bs, ios int, seed uint64) (c
 			Seed:      seed,
 		},
 	})
-	return sys.Core.Utilization(sys.Eng.Now()), sys
+	return sys.CPU().Utilization(sys.Engine().Now()), sys
 }
 
 func planFig12(o Options) *Plan {
@@ -118,7 +118,7 @@ func planFig14(o Options) *Plan {
 			Key: p.String(),
 			Run: func(seed uint64) any {
 				_, sys := syncUtil(kernel.Poll, p, 4096, ios, seed)
-				c := sys.Core
+				c := sys.CPU()
 				out := fig14Cycles{kernelTotal: float64(c.KernelTime())}
 				for f := cpu.Fn(0); f < cpu.NumFns; f++ {
 					if f.Kernel() && f.Driver() {

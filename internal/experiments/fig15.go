@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -32,13 +33,13 @@ func planFig15(o Options) *Plan {
 				// is a paired ratio, and sharing the seed keeps the
 				// workload identical between numerator and denominator.
 				Run: func(seed uint64) any {
-					sysP := syncSystem(ull(), kernel.Poll, seed)
+					sysP := system(ull(), core.Stack{Kind: core.KernelSync, Mode: kernel.Poll}, seed)
 					run(sysP, workload.Job{Spec: workload.Spec{Pattern: p, BlockSize: bs, TotalIOs: ios, Seed: seed}})
-					sysI := syncSystem(ull(), kernel.Interrupt, seed)
+					sysI := system(ull(), core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}, seed)
 					run(sysI, workload.Job{Spec: workload.Spec{Pattern: p, BlockSize: bs, TotalIOs: ios, Seed: seed}})
 					return ratios{
-						loads:  float64(sysP.Core.Loads()) / float64(sysI.Core.Loads()),
-						stores: float64(sysP.Core.Stores()) / float64(sysI.Core.Stores()),
+						loads:  float64(sysP.CPU().Loads()) / float64(sysI.CPU().Loads()),
+						stores: float64(sysP.CPU().Stores()) / float64(sysI.CPU().Stores()),
 					}
 				},
 			})

@@ -6,6 +6,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -20,7 +21,7 @@ func init() {
 }
 
 func spdkLatency(dev ssd.Config, p workload.Pattern, bs, ios int, seed uint64) *workload.Result {
-	sys := spdkSystem(dev, seed)
+	sys := system(dev, core.Stack{Kind: core.SPDK}, seed)
 	return run(sys, workload.Job{
 		Spec: workload.Spec{
 			Pattern:   p,

@@ -22,17 +22,17 @@ func init() {
 // spdkPair runs the same job on the SPDK stack and the kernel interrupt
 // stack and returns both systems for counter comparison. The two runs
 // share one seed deliberately: figs 20-21 are paired comparisons.
-func spdkPair(p workload.Pattern, bs, ios int, seed uint64) (sp, in *core.System) {
-	sp = spdkSystem(ull(), seed)
+func spdkPair(p workload.Pattern, bs, ios int, seed uint64) (sp, in *core.Graph) {
+	sp = system(ull(), core.Stack{Kind: core.SPDK}, seed)
 	run(sp, workload.Job{Spec: workload.Spec{Pattern: p, BlockSize: bs, TotalIOs: ios, Seed: seed}})
-	in = syncSystem(ull(), kernel.Interrupt, seed)
+	in = system(ull(), core.Stack{Kind: core.KernelSync, Mode: kernel.Interrupt}, seed)
 	run(in, workload.Job{Spec: workload.Spec{Pattern: p, BlockSize: bs, TotalIOs: ios, Seed: seed}})
 	return sp, in
 }
 
 // pairShards enumerates (pattern, block size) sweep points whose shard
 // runs an SPDK/interrupt pair and reduces it with measure.
-func pairShards(ios int, measure func(sp, in *core.System) any) []Shard {
+func pairShards(ios int, measure func(sp, in *core.Graph) any) []Shard {
 	var shards []Shard
 	for _, p := range fourPatterns {
 		for _, bs := range blockSizes {
@@ -51,10 +51,10 @@ func pairShards(ios int, measure func(sp, in *core.System) any) []Shard {
 func planFig20(o Options) *Plan {
 	type utilPair struct{ sp, in cpu.Utilization }
 	return &Plan{
-		Shards: pairShards(o.scale(1500, 40000), func(sp, in *core.System) any {
+		Shards: pairShards(o.scale(1500, 40000), func(sp, in *core.Graph) any {
 			return utilPair{
-				sp: sp.Core.Utilization(sp.Eng.Now()),
-				in: in.Core.Utilization(in.Eng.Now()),
+				sp: sp.CPU().Utilization(sp.Engine().Now()),
+				in: in.CPU().Utilization(in.Engine().Now()),
 			}
 		}),
 		Merge: func(res []any) []*metrics.Table {
@@ -77,10 +77,10 @@ func planFig20(o Options) *Plan {
 func planFig21(o Options) *Plan {
 	type ratios struct{ loads, stores float64 }
 	return &Plan{
-		Shards: pairShards(o.scale(1500, 40000), func(sp, in *core.System) any {
+		Shards: pairShards(o.scale(1500, 40000), func(sp, in *core.Graph) any {
 			return ratios{
-				loads:  float64(sp.Core.Loads()) / float64(in.Core.Loads()),
-				stores: float64(sp.Core.Stores()) / float64(in.Core.Stores()),
+				loads:  float64(sp.CPU().Loads()) / float64(in.CPU().Loads()),
+				stores: float64(sp.CPU().Stores()) / float64(in.CPU().Stores()),
 			}
 		}),
 		Merge: func(res []any) []*metrics.Table {
@@ -125,13 +125,13 @@ func (c fig22Counts) total(kind string) float64 {
 	return c.totST
 }
 
-func fig22Measure(sys *core.System, fns ...cpu.Fn) fig22Counts {
+func fig22Measure(sys *core.Graph, fns ...cpu.Fn) fig22Counts {
 	out := fig22Counts{
-		totLD: float64(sys.Core.Loads()),
-		totST: float64(sys.Core.Stores()),
+		totLD: float64(sys.CPU().Loads()),
+		totST: float64(sys.CPU().Stores()),
 	}
 	for _, f := range fns {
-		a := sys.Core.Acct(f)
+		a := sys.CPU().Acct(f)
 		out.fns = append(out.fns, fnShare{loads: float64(a.Loads), stores: float64(a.Stores)})
 	}
 	return out
@@ -145,7 +145,7 @@ func planFig22(o Options) *Plan {
 			Shard{
 				Key: p.String() + "/poll",
 				Run: func(seed uint64) any {
-					sys := syncSystem(ull(), kernel.Poll, seed)
+					sys := system(ull(), core.Stack{Kind: core.KernelSync, Mode: kernel.Poll}, seed)
 					run(sys, workload.Job{Spec: workload.Spec{Pattern: p, BlockSize: 4096, TotalIOs: ios, Seed: seed}})
 					return fig22Measure(sys, cpu.FnBlkMQPoll, cpu.FnNVMePoll)
 				},
@@ -153,7 +153,7 @@ func planFig22(o Options) *Plan {
 			Shard{
 				Key: p.String() + "/spdk",
 				Run: func(seed uint64) any {
-					sys := spdkSystem(ull(), seed)
+					sys := system(ull(), core.Stack{Kind: core.SPDK}, seed)
 					run(sys, workload.Job{Spec: workload.Spec{Pattern: p, BlockSize: 4096, TotalIOs: ios, Seed: seed}})
 					return fig22Measure(sys, cpu.FnSPDKProcess, cpu.FnPCIeProcess, cpu.FnQpairCheck)
 				},

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/orchestrator"
 	"repro/internal/probe"
@@ -232,64 +231,29 @@ func nvme750() ssd.Config { return ssd.NVMe750() }
 // a realistic free cushion.
 const precondFraction = 0.9
 
-// asyncSystem builds a preconditioned libaio system on dev.
-func asyncSystem(dev ssd.Config, seed uint64) *core.System {
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.KernelAsync
-	cfg.Precondition = precondFraction
-	cfg.Device.Seed = dev.Seed ^ seed
-	return core.NewSystem(cfg)
-}
-
-// syncSystem builds a preconditioned pvsync2 system with the given
-// completion mode.
-func syncSystem(dev ssd.Config, mode kernel.Mode, seed uint64) *core.System {
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.KernelSync
-	cfg.Mode = mode
-	cfg.Precondition = precondFraction
-	cfg.Device.Seed = dev.Seed ^ seed
-	return core.NewSystem(cfg)
-}
-
-// uringSystem builds a preconditioned io_uring system in the given
-// completion mode. cores sizes the host CoreSet: 0 keeps the legacy
-// single accounting core; SQPoll callers pass >= 2 so the submission
-// thread's spin lands on its own pinned core instead of stacking onto
-// the app's as oversubscription.
-func uringSystem(dev ssd.Config, mode uring.Mode, cores int, seed uint64) *core.System {
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.IOUring
-	cfg.Uring = uring.Config{Mode: mode}
-	cfg.Cores = cores
-	cfg.Precondition = precondFraction
-	cfg.Device.Seed = dev.Seed ^ seed
-	return core.NewSystem(cfg)
-}
-
-// spdkSystem builds a preconditioned SPDK system.
-func spdkSystem(dev ssd.Config, seed uint64) *core.System {
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.SPDK
-	cfg.Precondition = precondFraction
-	cfg.Device.Seed = dev.Seed ^ seed
-	return core.NewSystem(cfg)
+// system builds a preconditioned one-device system: stack st over dev,
+// with the shard seed mixed into the device seed. An SQPOLL stack gets
+// a two-core host, so its submission thread's spin lands on its own
+// pinned core instead of stacking onto the app's as oversubscription;
+// every other stack keeps the legacy single accounting core.
+func system(dev ssd.Config, st core.Stack, seed uint64) *core.Graph {
+	st.Queue.Device = dev
+	st.Queue.Device.Seed = dev.Seed ^ seed
+	t := core.Topology{Root: st, Precondition: precondFraction}
+	if st.Uring != nil && st.Uring.Mode == uring.SQPoll {
+		t.Cores = 2
+	}
+	return core.Build(t)
 }
 
 // confineRegion reports the byte region a measurement job should touch
-// on sys: the preconditioned span, aligned down to 1MiB, so reads always
-// hit mapped media. Zero when the device is not preconditioned.
-func confineRegion(sys *core.System) int64 {
-	return confineSpan(sys.Cfg.Precondition, sys.ExportedBytes())
-}
-
-// confineSpan is the shared confinement computation: the preconditioned
-// fraction of an exported capacity, aligned down to 1MiB.
-func confineSpan(pre float64, exported int64) int64 {
-	if pre <= 0 {
+// on g: the preconditioned span, aligned down to 1MiB, so reads always
+// hit mapped media. Zero when the devices are not preconditioned.
+func confineRegion(g *core.Graph) int64 {
+	if g.Precondition() <= 0 {
 		return 0
 	}
-	region := int64(pre * float64(exported))
+	region := int64(g.Precondition() * float64(g.ExportedBytes()))
 	const align = 1 << 20
 	return region / align * align
 }
@@ -297,27 +261,27 @@ func confineSpan(pre float64, exported int64) int64 {
 // run executes a job and returns its result. Unless the job says
 // otherwise, I/O is confined to the preconditioned region so reads always
 // touch mapped media.
-func run(sys *core.System, job workload.Job) *workload.Result {
+func run(g *core.Graph, job workload.Job) *workload.Result {
 	if job.Region == 0 {
-		job.Region = confineRegion(sys)
+		job.Region = confineRegion(g)
 	}
-	return workload.Run(sys, job)
+	return workload.Run(g, job)
 }
 
 // runTenants executes open-loop tenants concurrently on one system, each
 // confined to the preconditioned region like run.
-func runTenants(sys *core.System, jobs ...workload.OpenJob) []*workload.OpenResult {
+func runTenants(g *core.Graph, jobs ...workload.OpenJob) []*workload.OpenResult {
 	for i := range jobs {
 		if jobs[i].Region == 0 {
-			jobs[i].Region = confineRegion(sys)
+			jobs[i].Region = confineRegion(g)
 		}
 	}
-	return workload.RunTenants(sys, jobs...)
+	return workload.RunTenants(g, jobs...)
 }
 
 // runOpen is run's open-loop single-tenant counterpart.
-func runOpen(sys *core.System, job workload.OpenJob) *workload.OpenResult {
-	return runTenants(sys, job)[0]
+func runOpen(g *core.Graph, job workload.OpenJob) *workload.OpenResult {
+	return runTenants(g, job)[0]
 }
 
 // us formats a sim.Time as microseconds with two decimals.
@@ -339,7 +303,7 @@ var fourPatterns = []workload.Pattern{
 	workload.SeqRead, workload.RandRead, workload.SeqWrite, workload.RandWrite,
 }
 
-// blockSizes45 is the 4KB..32KB sweep used by Figures 9-16.
+// blockSizes is the 4KB..32KB sweep used by Figures 9-16.
 var blockSizes = []int{4 << 10, 8 << 10, 16 << 10, 32 << 10}
 
 func sizeLabel(n int) string {

@@ -185,9 +185,7 @@ func TestStoreRejectsSerialHost(t *testing.T) {
 	dev := ssd.ZSSD()
 	dev.WaysPerChannel = 2
 	dev.BlocksPerUnit = 16
-	cfg := core.DefaultConfig(dev)
-	cfg.Stack = core.KernelSync
-	New(core.NewSystem(cfg), Config{})
+	New(core.Build(core.Topology{Root: core.Stack{Kind: core.KernelSync, Queue: core.Queue{Device: dev}}}), Config{})
 }
 
 // kvFingerprint runs one keyed YCSB-style job through the workload

@@ -25,7 +25,7 @@ import (
 type ModelConfig struct {
 	// Server is the storage server system (device + host stack). Kernel
 	// NBD uses the libaio/interrupt stack; SPDK NBD uses the SPDK stack.
-	Server core.Config
+	Server core.Topology
 
 	// Network: a full-duplex link.
 	NetLatency sim.Time // one-way propagation + NIC processing
@@ -49,11 +49,11 @@ type ModelConfig struct {
 // user-space server doing syscall I/O through the full kernel stack with
 // interrupt completion.
 func KernelNBD(dev ssd.Config) ModelConfig {
-	server := core.DefaultConfig(dev)
-	server.Stack = core.KernelAsync
-	server.Precondition = 1.0
 	return ModelConfig{
-		Server:           server,
+		Server: core.Topology{
+			Root:         core.Stack{Kind: core.KernelAsync, Queue: core.Queue{Device: dev}},
+			Precondition: 1.0,
+		},
 		NetLatency:       12 * sim.Microsecond,
 		NetMBps:          1180, // ~10GbE effective
 		ServerRecvCost:   2500 * sim.Nanosecond,
@@ -72,7 +72,7 @@ func KernelNBD(dev ssd.Config) ModelConfig {
 // pair, so per-request wakeups disappear.
 func SPDKNBD(dev ssd.Config) ModelConfig {
 	cfg := KernelNBD(dev)
-	cfg.Server.Stack = core.SPDK
+	cfg.Server.Root = core.Stack{Kind: core.SPDK, Queue: core.Queue{Device: dev}}
 	cfg.ServerRecvCost = 700 * sim.Nanosecond
 	cfg.ServerSendCost = 900 * sim.Nanosecond
 	cfg.ServerWakeups = 0
@@ -102,7 +102,7 @@ func (l *netLink) send(n int, fn func()) {
 // Model is the wired server-client system.
 type Model struct {
 	cfg ModelConfig
-	sys *core.System
+	sys *core.Graph
 	eng *sim.Engine
 	rng *sim.RNG
 	up  *netLink // client -> server (requests, write payloads)
@@ -187,13 +187,13 @@ func (m *Model) startRemote(r *remoteReq) {
 }
 
 // NewModel builds the system. The server device is preconditioned by the
-// server core.Config.
+// server topology.
 func NewModel(cfg ModelConfig) *Model {
-	sys := core.NewSystem(cfg.Server)
+	sys := core.Build(cfg.Server)
 	m := &Model{
 		cfg: cfg,
 		sys: sys,
-		eng: sys.Eng,
+		eng: sys.Engine(),
 		rng: sim.NewRNG(cfg.Seed),
 	}
 	m.up = &netLink{eng: m.eng, mbps: cfg.NetMBps, lat: cfg.NetLatency}
@@ -205,7 +205,7 @@ func NewModel(cfg ModelConfig) *Model {
 func (m *Model) Engine() *sim.Engine { return m.eng }
 
 // System exposes the server system (for finalization and stats).
-func (m *Model) System() *core.System { return m.sys }
+func (m *Model) System() *core.Graph { return m.sys }
 
 // remote performs one block I/O against the server: request over the
 // uplink, server software path, device I/O, response over the downlink.
@@ -234,7 +234,7 @@ func (m *Model) clampOffset(offset int64, length int) int64 {
 // read (O_DIRECT-style: file reads always reach the device).
 func (m *Model) FileRead(offset int64, length int, done func()) {
 	offset = m.clampOffset(offset, length)
-	m.sys.Core.Charge(cpu.FnExt4, m.cfg.FSReadCPU, 300, 90)
+	m.sys.CoreSet().Core(0).Charge(cpu.FnExt4, m.cfg.FSReadCPU, 300, 90)
 	r := m.getReq()
 	r.write = false
 	r.offset = offset
@@ -250,7 +250,7 @@ func (m *Model) FileRead(offset int64, length int, done func()) {
 // in the background.
 func (m *Model) FileWrite(offset int64, length int, done func()) {
 	offset = m.clampOffset(offset, length)
-	m.sys.Core.Charge(cpu.FnExt4, m.cfg.FSWriteCPU, 900, 600)
+	m.sys.CoreSet().Core(0).Charge(cpu.FnExt4, m.cfg.FSWriteCPU, 900, 600)
 	m.eng.After(m.cfg.FSWriteCPU, func() {
 		if m.rng.Float64() >= m.cfg.JournalSyncFrac {
 			// Asynchronous path: ack now, flush in the background.

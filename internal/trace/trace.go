@@ -115,7 +115,7 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// Target is anything that accepts block I/O (core.System satisfies it).
+// Target is anything that accepts block I/O (a core.Graph satisfies it).
 type Target interface {
 	Submit(write bool, offset int64, length int, done func())
 }

@@ -232,7 +232,7 @@ func mixTenantSeed(seed uint64, tenant int) uint64 {
 }
 
 func newOpenRunner(svc Service, job OpenJob, tenant int) *openRunner {
-	if job.TotalIOs == 0 && job.Duration == 0 {
+	if job.TotalIOs <= 0 && job.Duration <= 0 {
 		panic("workload: open-loop job needs a stop condition (TotalIOs or Duration)")
 	}
 	capIF := job.MaxInFlight

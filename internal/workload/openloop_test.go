@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -303,12 +304,15 @@ func TestOpenLoopValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("no stop condition", func() {
-		RunOpen(asyncSys(), OpenJob{
-			Spec:    Spec{Pattern: RandRead, BlockSize: 4096},
+	for _, c := range stopConditions {
+		job := OpenJob{
+			Spec:    Spec{Pattern: RandRead, BlockSize: 4096, TotalIOs: c.ios, Duration: c.duration},
 			Arrival: Arrival{Kind: Poisson, Rate: 1000},
-		})
-	})
+		}
+		if !panicsWithin(10*time.Second, func() { RunOpen(asyncSys(), job) }) {
+			t.Errorf("%s: open-loop job without a stop condition did not panic", c.name)
+		}
+	}
 	mustPanic("zero rate", func() {
 		RunOpen(asyncSys(), OpenJob{
 			Spec:    Spec{Pattern: RandRead, BlockSize: 4096, TotalIOs: 10},

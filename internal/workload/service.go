@@ -48,8 +48,8 @@ type WearReporter interface {
 	WearStats() []ssd.WearReport
 }
 
-// hostService adapts a block core.Host — the one-device System
-// shorthand or a built topology Graph — to the Service contract.
+// hostService adapts a block core.Host, such as a built topology
+// Graph, to the Service contract.
 // Positions are byte offsets and Issue lowers to Submit, so driving the
 // adapter is bit-exact with driving the host directly.
 type hostService struct{ h core.Host }

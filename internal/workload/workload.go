@@ -129,8 +129,8 @@ func (r *Result) BandwidthMBps() float64 {
 
 // Run drives job against sys until the stop condition, runs the engine
 // to drain, finalizes deferred accounting, and returns the measurements.
-// sys is any Target-rooted system: the one-device core.System shorthand
-// or a built core.Graph topology (stripes, tiers, concats).
+// sys is any Target-rooted system: a built core.Graph over one device
+// or many (stripes, tiers, concats).
 func Run(sys core.Host, job Job) *Result { return RunService(AsService(sys), job) }
 
 // RunService is Run for any Service — a block host behind AsService, or
@@ -298,7 +298,7 @@ func newRunner(svc Service, job Job) *runner {
 	if svc.Serial() && job.QueueDepth != 1 {
 		panic("workload: synchronous stacks serve one I/O at a time")
 	}
-	if job.TotalIOs == 0 && job.Duration == 0 {
+	if job.TotalIOs <= 0 && job.Duration <= 0 {
 		panic("workload: job needs a stop condition (TotalIOs or Duration)")
 	}
 	r := &runner{

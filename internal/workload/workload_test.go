@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -19,18 +20,18 @@ func smallULL() ssd.Config {
 	return cfg
 }
 
-func syncSys(mode kernel.Mode) *core.System {
-	cfg := core.DefaultConfig(smallULL())
-	cfg.Mode = mode
-	cfg.Precondition = 1.0
-	return core.NewSystem(cfg)
+func syncSys(mode kernel.Mode) *core.Graph {
+	return core.Build(core.Topology{
+		Root:         core.Stack{Kind: core.KernelSync, Mode: mode, Queue: core.Queue{Device: smallULL()}},
+		Precondition: 1.0,
+	})
 }
 
-func asyncSys() *core.System {
-	cfg := core.DefaultConfig(smallULL())
-	cfg.Stack = core.KernelAsync
-	cfg.Precondition = 1.0
-	return core.NewSystem(cfg)
+func asyncSys() *core.Graph {
+	return core.Build(core.Topology{
+		Root:         core.Stack{Kind: core.KernelAsync, Queue: core.Queue{Device: smallULL()}},
+		Precondition: 1.0,
+	})
 }
 
 func TestRunSeqReadCountsExact(t *testing.T) {
@@ -91,8 +92,8 @@ func TestRunDurationStop(t *testing.T) {
 		t.Fatal("no I/Os in duration-bounded run")
 	}
 	// The run must not extend far past the deadline (only the drain).
-	if sys.Eng.Now() > 3*sim.Millisecond {
-		t.Fatalf("run dragged to %v", sys.Eng.Now())
+	if sys.Engine().Now() > 3*sim.Millisecond {
+		t.Fatalf("run dragged to %v", sys.Engine().Now())
 	}
 }
 
@@ -116,13 +117,43 @@ func TestRunSyncRejectsQueueDepth(t *testing.T) {
 	Run(syncSys(kernel.Poll), Job{Spec: Spec{Pattern: SeqRead, BlockSize: 4096, TotalIOs: 10}, QueueDepth: 4})
 }
 
-func TestRunNeedsStopCondition(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("job without stop condition did not panic")
-		}
+// stopConditions are the bounds a job must reject: none at all, and
+// negative ones, which used to count as a bound and never stop the run.
+var stopConditions = []struct {
+	name     string
+	ios      int
+	duration sim.Time
+}{
+	{"none", 0, 0},
+	{"negative ios", -5, 0},
+	{"negative duration", 0, -sim.Millisecond},
+	{"both negative", -5, -sim.Millisecond},
+}
+
+// panicsWithin runs fn on its own goroutine and reports whether it
+// panicked before the deadline, so a run that never stops fails the
+// test instead of timing out the package.
+func panicsWithin(d time.Duration, fn func()) bool {
+	ch := make(chan bool, 1)
+	go func() {
+		defer func() { ch <- recover() != nil }()
+		fn()
 	}()
-	Run(syncSys(kernel.Interrupt), Job{Spec: Spec{Pattern: SeqRead, BlockSize: 4096}})
+	select {
+	case panicked := <-ch:
+		return panicked
+	case <-time.After(d):
+		return false
+	}
+}
+
+func TestRunNeedsStopCondition(t *testing.T) {
+	for _, c := range stopConditions {
+		job := Job{Spec: Spec{Pattern: SeqRead, BlockSize: 4096, TotalIOs: c.ios, Duration: c.duration}}
+		if !panicsWithin(10*time.Second, func() { Run(syncSys(kernel.Interrupt), job) }) {
+			t.Errorf("%s: job without a stop condition did not panic", c.name)
+		}
+	}
 }
 
 func TestRunSeriesRecording(t *testing.T) {
@@ -193,7 +224,7 @@ func TestStackKindString(t *testing.T) {
 
 // stripedHost builds a 2-way striped volume of small ULL devices on the
 // libaio stack — the workload engines must drive any Target-rooted
-// Host, not just the one-device System.
+// Host, not just a one-device system.
 func stripedHost() core.Host {
 	return core.Build(core.Topology{
 		Root: core.Volume{Kind: core.Striped, Children: []core.Layer{
@@ -288,7 +319,7 @@ func TestRunSyncEvery(t *testing.T) {
 	if res.Fsync.Mean() <= 0 {
 		t.Fatal("fsync latency not positive")
 	}
-	if got := sys.Dev.Stats().HostFlushes; got != 10 {
+	if got := sys.Devices()[0].Stats().HostFlushes; got != 10 {
 		t.Fatalf("device flushes = %d, want 10", got)
 	}
 }

@@ -13,18 +13,16 @@
 // FIO-like workload engine — plus an experiment harness that regenerates
 // every table and figure of the paper's evaluation.
 //
-// CPU cores are a contended resource: size Topology.Cores (or
-// SystemConfig.Cores) above one and stacks arbitrate for cores — work
-// queues behind busy cores, interrupt wakeups pay a migration penalty,
-// and busy-polling pins cores outright. The default single core keeps
+// CPU cores are a contended resource: size Topology.Cores above one
+// and stacks arbitrate for cores — work queues behind busy cores,
+// interrupt wakeups pay a migration penalty, and busy-polling pins
+// cores outright. The default single core keeps
 // the historical accounting-only model, bit-exactly.
 //
-// Quick start — one device behind one stack (the shorthand):
+// Quick start — one device behind one stack, the smallest topology:
 //
-//	sys := repro.NewSystem(repro.SystemConfig{
-//		Device: repro.ZSSD(),
-//		Stack:  repro.KernelSync,
-//		Mode:   repro.Poll,
+//	sys := repro.BuildTopology(repro.Topology{
+//		Root:         repro.StackOn(repro.KernelSync, repro.Poll, repro.ZSSD()),
 //		Precondition: 1.0,
 //	})
 //	res := repro.RunJob(sys, repro.Job{Spec: repro.Spec{
@@ -34,10 +32,9 @@
 //	}})
 //	fmt.Println(res.All.Summarize())
 //
-// Compose a topology — systems are layer graphs lowered onto one
-// Target contract, so multi-device volumes run through the same
-// workload engines as a single device. A RAID-0 stripe of four Z-SSDs
-// behind SPDK:
+// Every system is a layer graph lowered onto one Target contract, so
+// multi-device volumes run through the same workload engines as a
+// single device. A RAID-0 stripe of four Z-SSDs behind SPDK:
 //
 //	vol := repro.BuildTopology(repro.Topology{
 //		Root: repro.StripedVolume(64<<10,
@@ -126,10 +123,6 @@ import (
 
 // Core composition types.
 type (
-	// SystemConfig assembles a host + device system under test.
-	SystemConfig = core.Config
-	// System is a fully wired host + device.
-	System = core.System
 	// DeviceConfig describes one SSD model.
 	DeviceConfig = ssd.Config
 	// Spec holds the op-mix/size/warmup fields every load engine shares;
@@ -172,15 +165,15 @@ type (
 	KernelCosts = kernel.Costs
 	// SPDKCosts is the userspace-stack cost table.
 	SPDKCosts = spdk.Costs
-	// UringConfig parameterizes the io_uring stack (completion mode,
-	// ring depth, cost table).
+	// UringConfig parameterizes the io_uring stack (completion mode and
+	// cost table).
 	UringConfig = uring.Config
 	// UringMode selects the io_uring completion scheme.
 	UringMode = uring.Mode
 	// UringCosts is the io_uring datapath cost table.
 	UringCosts = uring.Costs
 	// CPUCoreSet is a host's cores under one arbiter; with more than one
-	// core, stacks contend for them (Topology.Cores / SystemConfig.Cores).
+	// core, stacks contend for them (Topology.Cores).
 	CPUCoreSet = cpu.CoreSet
 	// CPUUtilization is one core's (or the aggregate's) time split,
 	// including the raw over-subscription factor before clamping.
@@ -195,7 +188,8 @@ type (
 
 	// Topology describes a system as a layer graph rooted at one Target.
 	Topology = core.Topology
-	// Layer is one node of a topology graph (StackLayer or VolumeLayer).
+	// Layer is one node of a topology graph (StackLayer, VolumeLayer or
+	// FSLayer).
 	Layer = core.Layer
 	// QueueLayer pairs one device with its NVMe queue pair.
 	QueueLayer = core.Queue
@@ -221,7 +215,7 @@ type (
 	// journal activity.
 	FSStats = fs.Stats
 	// TopologySystem is a built topology: the Target-rooted runnable
-	// system (it satisfies Host, like System).
+	// system (it satisfies Host).
 	TopologySystem = core.Graph
 	// Host is the contract every workload runner drives: any
 	// Target-rooted system.
@@ -231,8 +225,8 @@ type (
 	// breakdowns, the trace-event flight recorder, and the gauge sampler.
 	// The zero value disables everything at zero cost.
 	ProbeConfig = probe.Config
-	// Probe is one system's recorder (System.Probe / TopologySystem.Probe;
-	// nil when the build-time default config records nothing).
+	// Probe is one system's recorder (TopologySystem.Probe; nil when the
+	// build-time default config records nothing).
 	Probe = probe.Probe
 	// Breakdown is the per-phase latency attribution (Result.Breakdown).
 	Breakdown = probe.Breakdown
@@ -284,14 +278,14 @@ const (
 // Host stacks.
 const (
 	// KernelSync is the pvsync2 synchronous path (completion method
-	// selected by SystemConfig.Mode).
+	// selected by StackLayer.Mode).
 	KernelSync = core.KernelSync
 	// KernelAsync is the libaio path.
 	KernelAsync = core.KernelAsync
 	// SPDK is the kernel-bypass userspace path.
 	SPDK = core.SPDK
 	// IOUring is the io_uring ring path (batched submission; completion
-	// scheme selected by SystemConfig.Uring / StackLayer.Uring).
+	// scheme selected by StackLayer.Uring).
 	IOUring = core.IOUring
 )
 
@@ -332,14 +326,6 @@ func ZSSD() DeviceConfig { return ssd.ZSSD() }
 // NVMe750 returns the calibrated conventional NVMe SSD model (Intel 750
 // class, scaled).
 func NVMe750() DeviceConfig { return ssd.NVMe750() }
-
-// DefaultSystemConfig returns a system on dev with the kernel sync stack
-// and interrupt completion.
-func DefaultSystemConfig(dev DeviceConfig) SystemConfig { return core.DefaultConfig(dev) }
-
-// NewSystem builds and wires a one-device system (the shorthand that
-// lowers onto the topology graph).
-func NewSystem(cfg SystemConfig) *System { return core.NewSystem(cfg) }
 
 // BuildTopology lowers a layer graph into its runnable system.
 func BuildTopology(t Topology) *TopologySystem { return core.Build(t) }
@@ -392,8 +378,8 @@ func FSOn(cfg FSConfig, child Layer) FSLayer {
 // DefaultFSCosts returns the calibrated filesystem-tier cost table.
 func DefaultFSCosts() FSCosts { return fs.DefaultCosts() }
 
-// RunJob drives job against any Target-rooted system — a one-device
-// System or a built TopologySystem — and returns measurements.
+// RunJob drives job against any Target-rooted system, such as a built
+// TopologySystem, and returns measurements.
 func RunJob(sys Host, job Job) *Result { return workload.Run(sys, job) }
 
 // AsService adapts a block Host to the op-level Service contract, so

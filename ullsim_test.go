@@ -8,10 +8,8 @@ import (
 )
 
 func TestFacadeQuickstart(t *testing.T) {
-	sys := repro.NewSystem(repro.SystemConfig{
-		Device:       repro.ZSSD(),
-		Stack:        repro.KernelSync,
-		Mode:         repro.Poll,
+	sys := repro.BuildTopology(repro.Topology{
+		Root:         repro.StackOn(repro.KernelSync, repro.Poll, repro.ZSSD()),
 		Precondition: 1.0,
 	})
 	res := repro.RunJob(sys, repro.Job{
@@ -74,14 +72,13 @@ func TestFacadeNBD(t *testing.T) {
 }
 
 func TestFacadeAllStacksComplete(t *testing.T) {
-	for _, stack := range []repro.SystemConfig{
-		{Device: repro.ZSSD(), Stack: repro.KernelSync, Mode: repro.Interrupt},
-		{Device: repro.ZSSD(), Stack: repro.KernelSync, Mode: repro.Hybrid},
-		{Device: repro.ZSSD(), Stack: repro.KernelAsync},
-		{Device: repro.ZSSD(), Stack: repro.SPDK},
+	for _, stack := range []repro.StackLayer{
+		repro.StackOn(repro.KernelSync, repro.Interrupt, repro.ZSSD()),
+		repro.StackOn(repro.KernelSync, repro.Hybrid, repro.ZSSD()),
+		repro.StackOn(repro.KernelAsync, 0, repro.ZSSD()),
+		repro.StackOn(repro.SPDK, 0, repro.ZSSD()),
 	} {
-		stack.Precondition = 0.5
-		sys := repro.NewSystem(stack)
+		sys := repro.BuildTopology(repro.Topology{Root: stack, Precondition: 0.5})
 		res := repro.RunJob(sys, repro.Job{
 			Spec: repro.Spec{
 				Pattern:   repro.SeqRead,
@@ -92,7 +89,7 @@ func TestFacadeAllStacksComplete(t *testing.T) {
 			},
 		})
 		if res.IOs != 100 {
-			t.Fatalf("stack %v/%v: %d IOs", stack.Stack, stack.Mode, res.IOs)
+			t.Fatalf("stack %v/%v: %d IOs", stack.Kind, stack.Mode, res.IOs)
 		}
 	}
 }
