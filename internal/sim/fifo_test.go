@@ -47,3 +47,29 @@ func TestFIFOPopReleasesSlot(t *testing.T) {
 		t.Fatal("slot not zeroed")
 	}
 }
+
+// A queue hovering just below its capacity must not compact on every
+// push: compaction waits until the consumed head is half the backing
+// array, so each push and pop stays amortized O(1).
+func TestFIFOHoverCompactsRarely(t *testing.T) {
+	var f FIFO[int]
+	for i := 0; i < 63; i++ {
+		f.Push(i)
+	}
+	const rounds = 10000
+	compactions := 0
+	for i := 0; i < rounds; i++ {
+		f.Pop()
+		head := f.head
+		f.Push(i)
+		if head > 0 && f.head == 0 {
+			compactions++
+		}
+	}
+	if compactions > rounds/16 {
+		t.Fatalf("%d compactions in %d push/pop rounds at length 63; want at most %d", compactions, rounds, rounds/16)
+	}
+	if cap(f.buf) > 4*64 {
+		t.Fatalf("backing array grew to %d for a 63-element queue", cap(f.buf))
+	}
+}

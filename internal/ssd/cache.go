@@ -20,7 +20,6 @@ type bufEntry struct {
 	lpn      int64
 	dirty    uint32 // bitmask of dirty sub-units
 	bytes    int64  // bytes accounted against buffer capacity
-	version  uint64 // flush-ordering guard, assigned at flush start
 	flushing bool
 	flushEv  sim.EventRef
 	free     *bufEntry // free-list link while recycled
@@ -139,14 +138,18 @@ func (w *WriteBuffer) Detach(e *bufEntry) {
 }
 
 // Release returns an entry's bytes to the capacity pool (flush done) and
-// recycles the entry. The caller must hold no other references to it.
-func (w *WriteBuffer) Release(e *bufEntry) {
+// recycles the entry. The caller must hold no other references to it. It
+// reports whether e was its slot's newest flush: false when a later
+// write to the same slot started flushing while e was in flight, which
+// makes e's copy stale.
+func (w *WriteBuffer) Release(e *bufEntry) (newest bool) {
 	w.used -= e.bytes
 	e.bytes = 0
-	if w.inflight[e.lpn] == e {
+	if newest = w.inflight[e.lpn] == e; newest {
 		delete(w.inflight, e.lpn)
 	}
 	w.putEnt(e)
+	return newest
 }
 
 // getEnt takes a zeroed entry for lpn from the free list.

@@ -86,16 +86,14 @@ type Device struct {
 	allocOrder  []int
 	allocCursor int
 
-	verCounter uint64
-	lpnVer     map[int64]uint64
-	cmdCount   uint64
+	cmdCount uint64
 
-	// Host writes waiting for buffer space, FIFO.
-	bufWaiters []*pendingWrite
+	// Host writes waiting for buffer space.
+	bufWaiters sim.FIFO[*pendingWrite]
 	// Flush-ready entries awaiting batch dispatch. The firmware paces
 	// host programs at one in flight per unit, so under load the backlog
 	// pools here and packs into whole-page programs.
-	flushReady    []*bufEntry
+	flushReady    sim.FIFO[*bufEntry]
 	batchArmed    bool
 	graceDeadline sim.Time
 	progInFlight  int
@@ -103,11 +101,12 @@ type Device struct {
 	// Per-unit GC low watermarks, jittered so reclaim onset staggers
 	// across units instead of stalling the whole device at once.
 	gcLow []int
-	// Observability: per-unit GC pass start times feed background trace
-	// events on the device's track. Nil probe when observability is off.
+	// Per-unit garbage collectors (hotpath.go), made on first use.
+	gcRuns []*gcRun
+	// Observability: finished GC passes become background trace events
+	// on the device's track. Nil probe when observability is off.
 	pr      *probe.Probe
 	gcTrack string
-	gcStart []sim.Time
 	// Flush batches waiting for an erased block, FIFO.
 	gcWaiters []*bufEntry
 
@@ -166,7 +165,7 @@ func NewDevice(cfg Config, eng *sim.Engine) *Device {
 		buf:    NewWriteBuffer(cfg.WriteBufferBytes, cfg.MappingUnitBytes()),
 		rcache: NewReadCache(cfg.ReadCachePages),
 		meter:  NewMeter(cfg.Power, 10*sim.Millisecond),
-		lpnVer: make(map[int64]uint64),
+		gcRuns: make([]*gcRun, cfg.Units()),
 	}
 	energy := d.meter.AddEnergy
 	d.units = make([]*flash.Die, cfg.Units())
@@ -187,7 +186,6 @@ func NewDevice(cfg Config, eng *sim.Engine) *Device {
 	}
 	if d.pr = probe.Get(eng); d.pr != nil {
 		d.gcTrack = d.pr.Name("dev") + "/gc"
-		d.gcStart = make([]sim.Time, cfg.Units())
 	}
 	d.buildAllocOrder()
 	d.bindHotPath()
@@ -360,7 +358,7 @@ func (d *Device) beginFlushCmd(r *Request) {
 }
 
 func (d *Device) awaitDrain(r *Request) {
-	if d.buf.Used() == 0 && len(d.flushReady) == 0 && len(d.gcWaiters) == 0 {
+	if d.buf.Used() == 0 && d.flushReady.Len() == 0 && len(d.gcWaiters) == 0 {
 		d.complete(r)
 		return
 	}
@@ -523,9 +521,6 @@ func (d *Device) startFlush(e *bufEntry) {
 		return
 	}
 	e.flushing = true
-	d.verCounter++
-	e.version = d.verCounter
-	d.lpnVer[e.lpn] = e.version
 	d.buf.Detach(e)
 
 	if !d.buf.Full(e) {
@@ -544,8 +539,8 @@ func (d *Device) startFlush(e *bufEntry) {
 // gathering window (log-structured packing into a 16KB page on the
 // conventional device).
 func (d *Device) enqueueReady(e *bufEntry) {
-	d.flushReady = append(d.flushReady, e)
-	if len(d.flushReady) >= d.ftl.SlotsPerPage() {
+	d.flushReady.Push(e)
+	if d.flushReady.Len() >= d.ftl.SlotsPerPage() {
 		d.dispatchFlushes()
 		return
 	}
@@ -565,9 +560,9 @@ func (d *Device) armBatchWindow(delay sim.Time) {
 // (one FlushDelay) to fill up before it is programmed as-is.
 func (d *Device) dispatchFlushes() {
 	spp := d.ftl.SlotsPerPage()
-	for len(d.flushReady) > 0 && d.progInFlight < len(d.units) {
+	for d.flushReady.Len() > 0 && d.progInFlight < len(d.units) {
 		want := spp
-		if want > len(d.flushReady) {
+		if want > d.flushReady.Len() {
 			now := d.eng.Now()
 			if d.graceDeadline == 0 {
 				patience := d.cfg.FlushDelay
@@ -582,74 +577,55 @@ func (d *Device) dispatchFlushes() {
 				d.armBatchWindow(d.graceDeadline - now)
 				return
 			}
-			want = len(d.flushReady)
+			want = d.flushReady.Len()
 		}
 		unit, ppn, count := d.allocateRun(want)
 		if count == 0 {
 			// No space anywhere: park everything for GC.
 			d.stats.AllocStalls++
-			d.gcWaiters = append(d.gcWaiters, d.flushReady...)
-			clearEntries(d.flushReady)
-			d.flushReady = d.flushReady[:0]
+			for d.flushReady.Len() > 0 {
+				d.gcWaiters = append(d.gcWaiters, d.flushReady.Pop())
+			}
 			d.startUrgentGC()
 			return
 		}
-		batch := d.flushReady[:count]
-		d.program(unit, ppn, batch)
-		// Shift the remainder down so the backing array is reused
-		// instead of sliding off its own storage.
-		n := copy(d.flushReady, d.flushReady[count:])
-		clearEntries(d.flushReady[n:])
-		d.flushReady = d.flushReady[:n]
+		d.program(unit, ppn, count)
 	}
 	d.graceDeadline = 0
 }
 
-func clearEntries(s []*bufEntry) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
-// program writes a batch of slots as one flash program: channel data-in
-// transfer, then the array program, then per-slot commits. The batch is
-// copied into the pooled job, so the caller's slice is free immediately.
-func (d *Device) program(unit int, firstPPN int64, batch []*bufEntry) {
+// program writes the next count ready slots as one flash program:
+// channel data-in transfer, then the array program, then per-slot
+// commits. The slots move from the ready queue into the pooled job.
+func (d *Device) program(unit int, firstPPN int64, count int) {
 	d.maybeStartGC(unit)
 	d.progInFlight++
 	ch := d.channelOf(unit)
-	bytes := len(batch) * d.unit
 	j := d.getProgram()
 	j.unit = unit
 	j.firstPPN = firstPPN
-	j.batch = append(j.batch[:0], batch...)
-	_, xferEnd := ch.reserve(d.eng.Now(), ch.xferTime(bytes)+d.cfg.RemapCost)
+	for i := 0; i < count; i++ {
+		j.batch = append(j.batch, d.flushReady.Pop())
+	}
+	_, xferEnd := ch.reserve(d.eng.Now(), ch.xferTime(count*d.unit)+d.cfg.RemapCost)
 	d.eng.AtArg(xferEnd, d.programXferFn, j)
 }
 
 func (d *Device) finishFlush(e *bufEntry, ppn int64) {
-	if d.lpnVer[e.lpn] == e.version {
-		d.ftl.Commit(e.lpn, ppn)
-		delete(d.lpnVer, e.lpn)
+	lpn := e.lpn
+	if d.buf.Release(e) {
+		d.ftl.Commit(lpn, ppn)
 	} else {
 		// A newer write to the same slot is in flight; this copy is
 		// stale the moment it lands.
 		d.ftl.CommitDiscard(ppn)
 	}
-	d.buf.Release(e)
 }
 
 // admitWaiters drains stalled host writes while buffer space lasts.
 func (d *Device) admitWaiters() {
-	for len(d.bufWaiters) > 0 {
-		pw := d.bufWaiters[0]
-		if !d.buf.HasSpace(int64(pw.req.Len)) {
-			return
-		}
-		n := copy(d.bufWaiters, d.bufWaiters[1:])
-		d.bufWaiters[n] = nil
-		d.bufWaiters = d.bufWaiters[:n]
-		d.acceptWrite(pw)
+	for d.bufWaiters.Len() > 0 && d.buf.HasSpace(int64(d.bufWaiters.Front().req.Len)) {
+		d.acceptWrite(d.bufWaiters.Pop())
 	}
 }
 
@@ -698,111 +674,13 @@ func (d *Device) startUrgentGC() {
 func (d *Device) startGC(unit int) {
 	d.ftl.SetGCRunning(unit, true)
 	d.stats.GCRuns++
-	if d.pr != nil {
-		d.gcStart[unit] = d.eng.Now()
+	r := d.gcRuns[unit]
+	if r == nil {
+		r = d.newGCRun(unit)
+		d.gcRuns[unit] = r
 	}
-	d.gcPass(unit)
-}
-
-// gcPass reclaims blocks until the high watermark is reached. Migrations
-// proceed page by page so host operations interleave in the die queues.
-func (d *Device) gcPass(unit int) {
-	if d.ftl.FreeBlocks(unit) >= d.cfg.GCHighWater {
-		d.ftl.SetGCRunning(unit, false)
-		d.emitGC(unit)
-		return
-	}
-	block, valid, ok := d.ftl.Victim(unit)
-	if !ok {
-		d.ftl.SetGCRunning(unit, false)
-		d.emitGC(unit)
-		return
-	}
-	d.migrate(unit, block, valid, 0)
-}
-
-// emitGC records one finished GC pass as a background trace event.
-func (d *Device) emitGC(unit int) {
-	if d.pr == nil {
-		return
-	}
-	now := d.eng.Now()
-	d.pr.Emit(d.gcTrack, "gc", d.gcStart[unit], now-d.gcStart[unit])
-}
-
-// migrate relocates the valid slots of a victim block, one source flash
-// page at a time (slots that were written together share one array read),
-// then erases the block. GC relocates strictly within its own unit: the
-// reserve block guarantees space, since a victim has at most a block's
-// worth of valid slots and at least one invalid one.
-func (d *Device) migrate(unit, block int, valid []MigrationPage, i int) {
-	if i >= len(valid) {
-		d.stats.FlashErases++
-		d.units[unit].Submit(&flash.Op{
-			Kind: flash.OpErase,
-			Done: func(sim.Time) {
-				d.ftl.EraseDone(unit, block)
-				d.retryGCWaiters()
-				d.gcPass(unit)
-			},
-		})
-		return
-	}
-	// Chunk: valid slots sharing the source flash page, still current.
-	srcPage := d.ftl.PageOf(valid[i].PPN)
-	j := i
-	var chunk []MigrationPage
-	for j < len(valid) && d.ftl.PageOf(valid[j].PPN) == srcPage {
-		if d.ftl.StillCurrent(valid[j].LPN, valid[j].PPN) {
-			chunk = append(chunk, valid[j])
-		}
-		j++
-	}
-	if len(chunk) == 0 {
-		d.migrate(unit, block, valid, j)
-		return
-	}
-	d.units[unit].Submit(&flash.Op{
-		Kind:       flash.OpRead,
-		Background: true,
-		Done: func(sim.Time) {
-			d.gcProgram(unit, chunk, func() {
-				d.migrate(unit, block, valid, j)
-			})
-		},
-	})
-}
-
-// gcProgram writes a chunk of migrated slots, packing runs into page
-// programs.
-func (d *Device) gcProgram(unit int, chunk []MigrationPage, done func()) {
-	if len(chunk) == 0 {
-		done()
-		return
-	}
-	ppn, count := d.ftl.AllocateRun(unit, len(chunk), true)
-	if count == 0 {
-		// Cannot happen while the reserve invariant holds, but stay
-		// robust: retry after erases elsewhere free space.
-		d.eng.After(100*sim.Microsecond, func() { d.gcProgram(unit, chunk, done) })
-		return
-	}
-	batch := chunk[:count]
-	rest := chunk[count:]
-	d.units[unit].Submit(&flash.Op{
-		Kind: flash.OpProgram,
-		Done: func(sim.Time) {
-			for i, p := range batch {
-				if d.ftl.StillCurrent(p.LPN, p.PPN) {
-					d.stats.GCMigrations++
-					d.ftl.Commit(p.LPN, ppn+int64(i))
-				} else {
-					d.ftl.CommitDiscard(ppn + int64(i))
-				}
-			}
-			d.gcProgram(unit, rest, done)
-		},
-	})
+	r.start = d.eng.Now()
+	r.pass()
 }
 
 // retryGCWaiters resumes flush jobs parked for space.
@@ -810,8 +688,11 @@ func (d *Device) retryGCWaiters() {
 	if len(d.gcWaiters) == 0 {
 		return
 	}
-	d.flushReady = append(d.flushReady, d.gcWaiters...)
-	d.gcWaiters = nil
+	for i, e := range d.gcWaiters {
+		d.flushReady.Push(e)
+		d.gcWaiters[i] = nil
+	}
+	d.gcWaiters = d.gcWaiters[:0]
 	d.dispatchFlushes()
 }
 

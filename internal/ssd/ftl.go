@@ -304,10 +304,12 @@ func (f *FTL) GCRunning(unit int) bool        { return f.ustate[unit].gcRunning 
 func (f *FTL) SetGCRunning(unit int, on bool) { f.ustate[unit].gcRunning = on }
 
 // Victim selects the sealed block in unit with the most invalid slots and
-// returns its valid LPNs (with their PPNs, sorted by PPN) for migration.
+// returns its valid LPNs (with their PPNs, sorted by PPN) for migration,
+// appended to buf[:0] so a caller can reuse one buffer across passes.
 // It reports false when no sealed block with reclaimable space exists:
 // migrating a fully-valid block frees exactly as much as it consumes.
-func (f *FTL) Victim(unit int) (block int, valid []MigrationPage, ok bool) {
+func (f *FTL) Victim(unit int, buf []MigrationPage) (block int, valid []MigrationPage, ok bool) {
+	valid = buf[:0]
 	best, bestInvalid := -1, 0
 	for b := 0; b < f.blocksPerUnit; b++ {
 		// Partially written active blocks are unsealed and skip
@@ -322,7 +324,7 @@ func (f *FTL) Victim(unit int) (block int, valid []MigrationPage, ok bool) {
 		}
 	}
 	if best < 0 {
-		return 0, nil, false
+		return 0, valid, false
 	}
 	base := f.pack(unit, best, 0)
 	for ppn := base; ppn < base+int64(f.slotsPerBlock); ppn++ {

@@ -126,7 +126,7 @@ func TestFTLVictimPicksMostInvalid(t *testing.T) {
 		p, _ := f.Allocate(1, false)
 		f.Commit(int64(i), p)
 	}
-	block, valid, ok := f.Victim(0)
+	block, valid, ok := f.Victim(0, nil)
 	if !ok {
 		t.Fatal("no victim found")
 	}
@@ -147,7 +147,7 @@ func TestFTLVictimRequiresInvalid(t *testing.T) {
 		p, _ := f.Allocate(0, false)
 		f.Commit(int64(i), p)
 	}
-	if _, _, ok := f.Victim(0); ok {
+	if _, _, ok := f.Victim(0, nil); ok {
 		t.Fatal("Victim returned a fully-valid block")
 	}
 }
@@ -166,7 +166,7 @@ func TestFTLVictimSkipsUncommitted(t *testing.T) {
 	// Invalidate some for good measure.
 	p, _ := f.Allocate(0, false)
 	f.Commit(0, p)
-	if _, _, ok := f.Victim(0); ok {
+	if _, _, ok := f.Victim(0, nil); ok {
 		t.Fatal("Victim returned an unsealed block")
 	}
 }
@@ -183,7 +183,7 @@ func TestFTLEraseRecycles(t *testing.T) {
 		f.Commit(int64(i), p)
 	}
 	freeBefore := f.FreeBlocks(0)
-	block, valid, ok := f.Victim(0)
+	block, valid, ok := f.Victim(0, nil)
 	if !ok || len(valid) != 0 {
 		t.Fatalf("victim ok=%v valid=%d, want fully invalid block", ok, len(valid))
 	}

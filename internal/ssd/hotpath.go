@@ -8,6 +8,18 @@ package ssd
 // created them (they ride inside scheduled events or die queues) are
 // recycled at the end of their step chain, immediately before invoking
 // the next layer's callback, so a recycled object is never touched again.
+//
+// The pooled objects:
+//   - readCtx: one host read, fanned across its media groups and DRAM hits;
+//   - readGroup: the slots of one host read that share a flash page;
+//   - flashReadJob: one array read plus its channel data-out transfer;
+//   - prefetchJob: one background prefetch read;
+//   - pendingWrite: one host write from DMA arrival to buffer admission;
+//   - programJob: one host page program and its slot commits;
+//   - gcRun: one per flash unit rather than per IO, the unit's whole
+//     garbage-collection chain (victim, migration chunks, flash ops).
+//
+// Write-buffer entries are pooled by the WriteBuffer itself (cache.go).
 
 import (
 	"repro/internal/flash"
@@ -182,9 +194,9 @@ func (d *Device) getPendingWrite() *pendingWrite {
 		pw = &pendingWrite{d: d}
 		pw.stageFn = func() {
 			dev := pw.d
-			if len(dev.bufWaiters) > 0 || !dev.buf.HasSpace(int64(pw.req.Len)) {
+			if dev.bufWaiters.Len() > 0 || !dev.buf.HasSpace(int64(pw.req.Len)) {
 				dev.stats.WriteStalls++
-				dev.bufWaiters = append(dev.bufWaiters, pw)
+				dev.bufWaiters.Push(pw)
 				return
 			}
 			dev.acceptWrite(pw)
@@ -204,8 +216,8 @@ func (d *Device) putPendingWrite(pw *pendingWrite) {
 }
 
 // programJob is one flash page program: channel data-in transfer, array
-// program, then per-slot mapping commits. It owns a copy of its batch so
-// the device's ready queue can keep moving underneath it.
+// program, then per-slot mapping commits. Its batch is popped off the
+// device's ready queue, so the queue keeps moving underneath it.
 type programJob struct {
 	d        *Device
 	unit     int
@@ -249,6 +261,151 @@ func (d *Device) programXfer(a any) {
 	d.stats.FlashPrograms++
 	d.stats.SlotsFlushed += uint64(len(j.batch))
 	d.units[j.unit].Submit(&j.op)
+}
+
+// gcRun is one flash unit's garbage collector: the migrate → read →
+// program … → erase → pass chain that reclaims victim blocks until the
+// unit reaches its high watermark. The FTL's GCRunning latch admits one
+// chain per unit at a time and every step hands off to the next, so one
+// run per unit owns all the chain's state: the victim's valid slots, the
+// current source page's chunk, the program in flight, and one flash op
+// per kind whose Done callbacks are bound once when the run is made.
+type gcRun struct {
+	d     *Device
+	unit  int
+	start sim.Time // pass start, for the background trace event
+
+	block int             // victim being reclaimed
+	valid []MigrationPage // the victim's valid slots, PPN-sorted
+	next  int             // first valid slot not yet chunked
+	chunk []MigrationPage // still-current slots of one source page
+	done  int             // chunk slots already programmed
+	ppn   int64           // first slot of the program in flight
+	count int             // chunk slots in the program in flight
+
+	read, prog, erase flash.Op
+	retryFn           func()
+}
+
+// newGCRun makes unit's collector with its buffers sized for a whole
+// block and a whole page, so steady-state GC allocates nothing.
+func (d *Device) newGCRun(unit int) *gcRun {
+	r := &gcRun{
+		d:     d,
+		unit:  unit,
+		valid: make([]MigrationPage, 0, d.ftl.slotsPerBlock),
+		chunk: make([]MigrationPage, 0, d.ftl.slotsPerPage),
+	}
+	r.read = flash.Op{Kind: flash.OpRead, Background: true, Done: r.readDone}
+	r.prog = flash.Op{Kind: flash.OpProgram, Done: r.programDone}
+	r.erase = flash.Op{Kind: flash.OpErase, Done: r.eraseDone}
+	r.retryFn = r.program
+	return r
+}
+
+// pass reclaims the next victim, or ends the run once the unit is at
+// its high watermark or has nothing reclaimable.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
+func (r *gcRun) pass() {
+	d := r.d
+	if d.ftl.FreeBlocks(r.unit) < d.cfg.GCHighWater {
+		var ok bool
+		if r.block, r.valid, ok = d.ftl.Victim(r.unit, r.valid); ok {
+			r.next = 0
+			r.migrate()
+			return
+		}
+	}
+	d.ftl.SetGCRunning(r.unit, false)
+	if d.pr != nil {
+		d.pr.Emit(d.gcTrack, "gc", r.start, d.eng.Now()-r.start)
+	}
+}
+
+// migrate relocates the victim's valid slots one source flash page at a
+// time (slots written together share one array read), so host
+// operations interleave in the die queue, then erases the block. GC
+// relocates strictly within its own unit: the reserve block guarantees
+// space, since a victim has at most a block's worth of valid slots and
+// at least one invalid one.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
+func (r *gcRun) migrate() {
+	f := r.d.ftl
+	for r.next < len(r.valid) {
+		// Chunk: valid slots sharing the source flash page, still current.
+		srcPage := f.PageOf(r.valid[r.next].PPN)
+		r.chunk = r.chunk[:0]
+		for ; r.next < len(r.valid) && f.PageOf(r.valid[r.next].PPN) == srcPage; r.next++ {
+			if p := r.valid[r.next]; f.StillCurrent(p.LPN, p.PPN) {
+				r.chunk = append(r.chunk, p)
+			}
+		}
+		if len(r.chunk) > 0 {
+			r.d.units[r.unit].Submit(&r.read)
+			return
+		}
+	}
+	r.d.stats.FlashErases++
+	r.d.units[r.unit].Submit(&r.erase)
+}
+
+// readDone starts programming the chunk the source page read fetched.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
+func (r *gcRun) readDone(sim.Time) {
+	r.done = 0
+	r.program()
+}
+
+// program writes the chunk's remaining slots, packing runs into page
+// programs, and moves on to the next source page once all have landed.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
+func (r *gcRun) program() {
+	if r.done == len(r.chunk) {
+		r.migrate()
+		return
+	}
+	d := r.d
+	r.ppn, r.count = d.ftl.AllocateRun(r.unit, len(r.chunk)-r.done, true)
+	if r.count == 0 {
+		// Cannot happen while the reserve invariant holds, but stay
+		// robust: retry after erases elsewhere free space.
+		d.eng.After(100*sim.Microsecond, r.retryFn)
+		return
+	}
+	d.units[r.unit].Submit(&r.prog)
+}
+
+// programDone commits the programmed slots that are still current (the
+// host may have overwritten one meanwhile) and continues the chunk.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
+func (r *gcRun) programDone(sim.Time) {
+	d := r.d
+	for i, p := range r.chunk[r.done : r.done+r.count] {
+		ppn := r.ppn + int64(i)
+		if d.ftl.StillCurrent(p.LPN, p.PPN) {
+			d.stats.GCMigrations++
+			d.ftl.Commit(p.LPN, ppn)
+		} else {
+			d.ftl.CommitDiscard(ppn)
+		}
+	}
+	r.done += r.count
+	r.program()
+}
+
+// eraseDone frees the victim, resumes flushes parked for space, and
+// looks for the next victim.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
+func (r *gcRun) eraseDone(sim.Time) {
+	r.d.ftl.EraseDone(r.unit, r.block)
+	r.d.retryGCWaiters()
+	r.pass()
 }
 
 // appendSpans appends the portions of [offset, offset+length) that fall

@@ -286,9 +286,47 @@ type runner struct {
 	pendingSyncs int
 	startT       sim.Time
 	stopped      bool
+	freeSlots    *ioSlot
 
 	m   meter
 	res Result
+}
+
+// ioSlot carries one in-flight I/O from issue to completion. Slots are
+// recycled through the runner's free list and each binds its done
+// callback once, so issuing an I/O allocates nothing in steady state.
+type ioSlot struct {
+	r      *runner
+	seq    int
+	write  bool
+	offset int64
+	start  sim.Time
+	sp     *probe.Span
+	done   func()
+	next   *ioSlot
+}
+
+func (r *runner) getSlot() *ioSlot {
+	s := r.freeSlots
+	if s == nil {
+		s = &ioSlot{r: r}
+		s.done = s.complete
+		return s
+	}
+	r.freeSlots = s.next
+	s.next = nil
+	return s
+}
+
+// complete recycles the slot before handing its I/O to onDone, whose
+// next issue may take this very slot.
+func (s *ioSlot) complete() {
+	r := s.r
+	seq, write, offset, start, sp := s.seq, s.write, s.offset, s.start, s.sp
+	s.sp = nil
+	s.next = r.freeSlots
+	r.freeSlots = s
+	r.onDone(seq, write, offset, start, sp)
 }
 
 func newRunner(svc Service, job Job) *runner {
@@ -371,18 +409,17 @@ func (r *runner) issueNext() bool {
 			r.pendingSyncs++
 		}
 	}
-	seq := r.issued
+	s := r.getSlot()
+	s.seq, s.write, s.offset = r.issued, write, offset
 	r.issued++
-	start := r.svc.Engine().Now()
+	s.start = r.svc.Engine().Now()
 	kind := r.rdKind
 	if write {
 		kind = r.wrKind
 	}
-	sp := r.pr.Start(kind, 0, start)
-	r.pr.SetSpan(sp)
-	r.svc.Issue(write, offset, r.job.BlockSize, func() {
-		r.onDone(seq, write, offset, start, sp)
-	})
+	s.sp = r.pr.Start(kind, 0, s.start)
+	r.pr.SetSpan(s.sp)
+	r.svc.Issue(write, offset, r.job.BlockSize, s.done)
 	return true
 }
 

@@ -21,7 +21,7 @@ COUNT="${COUNT:-3}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 go test -run '^$' \
-	-bench 'BenchmarkSimulatorThroughput$|BenchmarkEventSchedule$|BenchmarkNBDModel$|BenchmarkStripedVolume$|BenchmarkFSBufferedRead$|BenchmarkFSFsync$|BenchmarkKVGet$|BenchmarkKVPut$|BenchmarkUringSubmit$|BenchmarkCoreSchedule$|BenchmarkProbeDisabled$|BenchmarkProbeSpan$|BenchmarkDeviceSetup$' \
+	-bench 'BenchmarkSimulatorThroughput$|BenchmarkEventSchedule$|BenchmarkNBDModel$|BenchmarkStripedVolume$|BenchmarkFSBufferedRead$|BenchmarkFSFsync$|BenchmarkKVGet$|BenchmarkKVPut$|BenchmarkUringSubmit$|BenchmarkCoreSchedule$|BenchmarkProbeDisabled$|BenchmarkProbeSpan$|BenchmarkDeviceSetup$|BenchmarkDeviceGC$' \
 	-benchmem -count "$COUNT" . >"$TMP"
 go run ./scripts/benchjson -out BENCH_simcore.json "$@" <"$TMP"
 
