@@ -218,6 +218,19 @@ func BenchmarkDeviceSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildZSSD reports what a sweep point pays in core.Build: a
+// libaio stack over a Z-SSD preconditioned to 0.9. Mapping storage
+// follows what a run writes, and the host CID table follows the CIDs it
+// issues, so a build allocates neither. The bench gate checks ns/op and
+// allocs/op only; TestBuildAllocatesNoMapping's TotalAlloc bound is what
+// fails if eager mapping storage comes back.
+func BenchmarkBuildZSSD(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		oneDevice(core.Stack{Kind: core.KernelAsync}, ssd.ZSSD())
+	}
+}
+
 // BenchmarkDeviceGC reports the device's cost per host write in GC
 // steady state: random 4 KiB overwrites at QD8 on a Z-SSD preconditioned
 // to 0.9, measured after a warm-up long enough that every flash unit is

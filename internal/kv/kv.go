@@ -168,6 +168,7 @@ type Store struct {
 
 	flushBusy   bool
 	compactBusy bool
+	mergeKeys   []int64 // compaction's merged run, reused across merges
 
 	cache *blockCache
 

@@ -5,7 +5,10 @@
 // atomically. That contention is the point of the model.
 package kv
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ioChunk is the background I/O unit: flushes and compactions move
 // SSTable bytes in sequential chunks of this size.
@@ -190,37 +193,25 @@ func (s *Store) compactLevel(l int) {
 // level down, and installs them atomically after a barrier.
 func (s *Store) mergeInstall(l int, up, down, inputs []*sstable) {
 	vsize := up[0].vsize
-	merged := make([]int64, 0)
-	for _, t := range inputs {
-		merged = append(merged, t.keys...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	uniq := merged[:0]
-	for i, k := range merged {
-		if i == 0 || k != merged[i-1] {
-			uniq = append(uniq, k)
-		}
-	}
+	s.mergeKeys = unionKeys(s.mergeKeys[:0], inputs)
 	perTable := int(s.cfg.SSTableBytes / int64(vsize))
 	if perTable < 1 {
 		perTable = 1
 	}
+	// The output tables share one backing array, cut from the merged run.
 	var outs []*sstable
-	for len(uniq) > 0 {
-		n := len(uniq)
-		if n > perTable {
-			n = perTable
-		}
+	for keys := slices.Clone(s.mergeKeys); len(keys) > 0; {
+		n := min(len(keys), perTable)
 		t := &sstable{
 			id:    s.nextID,
 			slot:  s.allocSlot(),
-			keys:  append([]int64{}, uniq[:n]...),
+			keys:  keys[:n:n],
 			bytes: int64(n) * int64(vsize),
 			vsize: vsize,
 		}
 		s.nextID++
 		outs = append(outs, t)
-		uniq = uniq[n:]
+		keys = keys[n:]
 	}
 	s.writeOuts(outs, 0, func() {
 		s.pr.Emit(s.cmpTrack, "compact", s.cmpStart, s.eng.Now()-s.cmpStart)
@@ -264,6 +255,16 @@ func (s *Store) mergeInstall(l int, up, down, inputs []*sstable) {
 		s.compactBusy = false
 		s.maybeCompact()
 	})
+}
+
+// unionKeys appends the union of the tables' keys to dst, ascending and
+// without duplicates, and returns it.
+func unionKeys(dst []int64, tables []*sstable) []int64 {
+	for _, t := range tables {
+		dst = append(dst, t.keys...)
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // writeOuts streams each output table in turn, sharing one final

@@ -23,9 +23,11 @@ type Cmd struct {
 // commands in flight — what the libaio, SPDK and io_uring stacks share.
 // It owns three pieces:
 //
-//   - the CID table: a direct-mapped slot per CID over the whole uint16
-//     space (no hashing, no collisions) holding each outstanding
-//     command's completion callback;
+//   - the CID table: a direct-mapped slot per CID (no hashing, no
+//     collisions) holding each outstanding command's completion
+//     callback. CIDs are issued in order from 0, so the table grows
+//     with the highest CID issued and reaches the whole uint16 space
+//     only if the stack issues that many commands;
 //   - the doorbell: a pooled context that carries one command from the
 //     stack's submission path to Submit or SubmitFlush at a chosen time;
 //   - the delivery batch: every CQE reaped in one pass rides the stack's
@@ -69,11 +71,10 @@ type doorbell struct {
 // NewLedger returns the ledger of a stack named name driving qp.
 func NewLedger(eng *sim.Engine, qp *QueuePair, name string) *Ledger {
 	l := &Ledger{
-		eng:     eng,
-		qp:      qp,
-		pr:      probe.Get(eng),
-		name:    name,
-		pending: make([]func(), 1<<16),
+		eng:  eng,
+		qp:   qp,
+		pr:   probe.Get(eng),
+		name: name,
 	}
 	l.deliverFn = l.deliver
 	return l
@@ -86,12 +87,23 @@ func NewLedger(eng *sim.Engine, qp *QueuePair, name string) *Ledger {
 func (l *Ledger) Track(done func()) uint16 {
 	cid := l.nextCID
 	l.nextCID++
+	if int(cid) == len(l.pending) {
+		l.growCIDs()
+	}
 	if l.pending[cid] != nil {
 		panic(fmt.Sprintf("%s: CID %d reused while outstanding", l.name, cid))
 	}
 	l.pending[cid] = done
 	l.nOut++
 	return cid
+}
+
+// growCIDs doubles the CID table, up to the whole uint16 space, once
+// the next CID to issue falls past its end.
+func (l *Ledger) growCIDs() {
+	p := make([]func(), min(max(2*len(l.pending), 64), 1<<16))
+	copy(p, l.pending)
+	l.pending = p
 }
 
 // Ring schedules c's doorbell at time at: its span becomes current and
@@ -114,7 +126,10 @@ func (l *Ledger) Reap() bool {
 	if !ok {
 		return false
 	}
-	done := l.pending[cid]
+	var done func()
+	if int(cid) < len(l.pending) {
+		done = l.pending[cid]
+	}
 	if done == nil {
 		panic(fmt.Sprintf("%s: completion for unknown CID %d", l.name, cid))
 	}

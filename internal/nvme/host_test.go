@@ -1,6 +1,8 @@
 package nvme
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -79,11 +81,11 @@ func TestLedgerBatchesOnePass(t *testing.T) {
 }
 
 func TestLedgerPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
+	mustPanic := func(name, msg string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), msg) {
+				t.Errorf("%s recovered %v, want a %q panic", name, r, msg)
 			}
 		}()
 		fn()
@@ -91,16 +93,63 @@ func TestLedgerPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	qp := New(eng, testDevice(eng), DefaultConfig())
 	l := NewLedger(eng, qp, "test")
-	mustPanic("CID reuse", func() {
+	mustPanic("CID reuse", "CID 0 reused while outstanding", func() {
 		for i := 0; i <= 1<<16; i++ {
 			l.Track(func() {})
 		}
 	})
 
-	eng = sim.NewEngine()
-	qp = New(eng, testDevice(eng), DefaultConfig())
-	l = NewLedger(eng, qp, "test")
-	qp.Submit(false, 0, 4096, 9) // behind the ledger's back
-	eng.Run()
-	mustPanic("unknown CID", func() { l.Reap() })
+	// An unknown CID panics whether it lies past the CID table's current
+	// end (none issued yet, or few) or inside it.
+	for _, c := range []struct {
+		issued int
+		cid    uint16
+	}{{0, 9}, {3, 1000}, {3, 9}, {1 << 16, 9}} {
+		eng = sim.NewEngine()
+		qp = New(eng, testDevice(eng), DefaultConfig())
+		l = NewLedger(eng, qp, "test")
+		for i := 0; i < c.issued; i++ {
+			if cid := l.Track(func() {}); cid == c.cid {
+				l.pending[cid] = nil // never issued, as far as the test goes
+				l.nOut--
+			}
+		}
+		qp.Submit(false, 0, 4096, c.cid) // behind the ledger's back
+		eng.Run()
+		mustPanic(fmt.Sprintf("unknown CID %d after %d issued", c.cid, c.issued), fmt.Sprintf("completion for unknown CID %d", c.cid), func() { l.Reap() })
+	}
+}
+
+// The CID table grows with the CIDs issued; CIDs still count up from 0
+// and wrap at 64Ki, and the table never outgrows the uint16 space.
+func TestLedgerCIDsAcrossGrowthAndWrap(t *testing.T) {
+	eng := sim.NewEngine()
+	qp := New(eng, testDevice(eng), DefaultConfig())
+	l := NewLedger(eng, qp, "test")
+	if len(l.pending) != 0 {
+		t.Fatalf("fresh ledger holds a %d-slot CID table, want none", len(l.pending))
+	}
+	const total = 1<<16 + 300
+	fired := 0
+	for i := 0; i < total; {
+		for j := 0; j < 4; j++ {
+			cid := l.Track(func() { fired++ })
+			if cid != uint16(i) {
+				t.Fatalf("command %d got CID %d, want %d", i, cid, uint16(i))
+			}
+			if n := len(l.pending); n <= int(cid) || n > 1<<16 {
+				t.Fatalf("CID %d issued with a %d-slot table", cid, n)
+			}
+			l.Ring(eng.Now(), Cmd{Offset: int64(i%64) * 4096, Length: 4096, CID: cid})
+			i++
+		}
+		eng.Run()
+		for l.Reap() {
+		}
+		l.Deliver(0)
+		eng.Run()
+	}
+	if fired != total || l.Outstanding() != 0 || len(l.pending) != 1<<16 {
+		t.Fatalf("%d of %d completions ran, %d outstanding, %d-slot table", fired, total, l.Outstanding(), len(l.pending))
+	}
 }

@@ -213,19 +213,15 @@ func popcount(x uint32) int {
 // strict LRU) keeps the model simple; for the streaming and random
 // workloads of the paper the two behave identically.
 //
-// The lpn -> ring-slot index is an open-addressed linear-probe table
-// rather than a Go map: the hit check runs once per device read, and at
-// a fixed <=50% load factor the probe sequences stay short enough that
+// The lpn -> ring-slot index is a probeTable rather than a Go map: the
+// hit check runs once per device read, and at a fixed <=25% load factor
 // the lookup is a handful of array reads with no hashing-interface
 // overhead.
 type ReadCache struct {
 	cap  int
 	ring []int64
 	next int
-	n    int
-	mask uint64
-	keys []int64 // -1 marks an empty cell
-	vals []int32 // ring slot of keys[i]
+	idx  probeTable // lpn -> ring slot
 }
 
 // NewReadCache returns a cache holding up to capPages pages. A zero or
@@ -242,41 +238,16 @@ func NewReadCache(capPages int) *ReadCache {
 	for size < 4*capPages {
 		size <<= 1
 	}
-	keys := make([]int64, size)
-	for i := range keys {
-		keys[i] = -1
-	}
-	return &ReadCache{
-		cap:  capPages,
-		ring: ring,
-		mask: uint64(size - 1),
-		keys: keys,
-		vals: make([]int32, size),
-	}
-}
-
-// home is the preferred table cell for lpn.
-func (c *ReadCache) home(lpn int64) uint64 {
-	h := uint64(lpn) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return h & c.mask
-}
-
-// find returns the table index holding lpn, or -1.
-func (c *ReadCache) find(lpn int64) int {
-	for i := c.home(lpn); ; i = (i + 1) & c.mask {
-		switch c.keys[i] {
-		case lpn:
-			return int(i)
-		case -1:
-			return -1
-		}
-	}
+	return &ReadCache{cap: capPages, ring: ring, idx: newProbeTable(size)}
 }
 
 // Contains reports whether lpn is cached.
 func (c *ReadCache) Contains(lpn int64) bool {
-	return c.cap != 0 && c.find(lpn) >= 0
+	if c.cap == 0 {
+		return false
+	}
+	_, ok := c.idx.slot(lpn)
+	return ok
 }
 
 // Insert adds lpn, evicting the oldest entry when full.
@@ -286,24 +257,18 @@ func (c *ReadCache) Insert(lpn int64) {
 	}
 	// One probe pass does double duty: duplicate check and insertion
 	// cell.
-	i := c.home(lpn)
-	for c.keys[i] != -1 {
-		if c.keys[i] == lpn {
-			return
-		}
-		i = (i + 1) & c.mask
+	i, ok := c.idx.slot(lpn)
+	if ok {
+		return
 	}
 	if old := c.ring[c.next]; old >= 0 {
 		// Eviction rearranges cells (backward-shift deletion can vacate
 		// or refill cells along lpn's probe chain), so reprobe from home.
-		c.remove(old)
-		for i = c.home(lpn); c.keys[i] != -1; i = (i + 1) & c.mask {
-		}
+		c.idx.remove(old)
+		i, _ = c.idx.slot(lpn)
 	}
 	c.ring[c.next] = lpn
-	c.keys[i] = lpn
-	c.vals[i] = int32(c.next)
-	c.n++
+	c.idx.putAt(i, lpn, int32(c.next))
 	c.next = (c.next + 1) % c.cap
 }
 
@@ -312,40 +277,11 @@ func (c *ReadCache) Invalidate(lpn int64) {
 	if c.cap == 0 {
 		return
 	}
-	if i := c.find(lpn); i >= 0 {
-		c.ring[c.vals[i]] = -1
-		c.deleteAt(uint64(i))
-	}
-}
-
-func (c *ReadCache) remove(lpn int64) {
-	if i := c.find(lpn); i >= 0 {
-		c.deleteAt(uint64(i))
-	}
-}
-
-// deleteAt empties cell i with backward-shift deletion, keeping every
-// remaining entry reachable from its home cell without tombstones.
-func (c *ReadCache) deleteAt(i uint64) {
-	c.n--
-	for {
-		c.keys[i] = -1
-		j := i
-		for {
-			j = (j + 1) & c.mask
-			if c.keys[j] == -1 {
-				return
-			}
-			// Shift j's entry up only if its home cell lies cyclically at
-			// or before the hole — otherwise it would move ahead of it.
-			if (j-c.home(c.keys[j]))&c.mask >= (j-i)&c.mask {
-				c.keys[i], c.vals[i] = c.keys[j], c.vals[j]
-				i = j
-				break
-			}
-		}
+	if i, ok := c.idx.slot(lpn); ok {
+		c.ring[c.idx.cells[i].val] = -1
+		c.idx.deleteAt(i)
 	}
 }
 
 // Len reports the number of cached pages.
-func (c *ReadCache) Len() int { return c.n }
+func (c *ReadCache) Len() int { return c.idx.n }

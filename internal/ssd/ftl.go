@@ -17,8 +17,12 @@ import (
 // function of the geometry, so that fill is never materialized: an l2p
 // or p2l entry of 0 defers to the closed form, and only the entries an
 // overwrite, trim, migration or erase touches are ever written.
-// Preconditioning therefore writes O(blocks) state, and the mapping
-// arrays need no initialisation beyond the zeroed memory make returns.
+// Preconditioning therefore writes O(blocks) state.
+//
+// Each direction's storage follows those overrides (mapDir): nothing
+// until the first one, a fixed override table while they are few, and a
+// flat int32 array once they are not. Building a device allocates no
+// mapping at all, and a run that only reads never does.
 
 const noPPN = int64(-1)
 
@@ -61,8 +65,8 @@ type FTL struct {
 	slotsPerPage  int // mapping slots per physical flash page
 	exportedSlots int64
 
-	l2p    []int32      // LPN -> PPN+1; 0 defers to the closed form
-	p2l    []int32      // PPN -> owning LPN+1; 0 defers to the closed form
+	l2p    mapDir       // LPN -> PPN+1; 0 defers to the closed form
+	p2l    mapDir       // PPN -> owning LPN+1; 0 defers to the closed form
 	blocks []blockState // unit*blocksPerUnit + block
 	ustate []unitState
 
@@ -91,8 +95,8 @@ func NewFTL(cfg Config) *FTL {
 		panic(fmt.Sprintf("ssd: geometry has %d physical and %d exported mapping slots; the FTL maps at most %d",
 			physical, f.exportedSlots, math.MaxInt32))
 	}
-	f.l2p = make([]int32, f.exportedSlots)
-	f.p2l = make([]int32, physical)
+	f.l2p = mapDir{n: f.exportedSlots}
+	f.p2l = mapDir{n: physical}
 	f.blocks = make([]blockState, units*cfg.BlocksPerUnit)
 	f.ustate = make([]unitState, units)
 	for u := range f.ustate {
@@ -186,7 +190,7 @@ func (f *FTL) Lookup(lpn int64) (ppn int64, ok bool) {
 	if lpn < 0 || lpn >= f.exportedSlots {
 		return noPPN, false
 	}
-	switch v := f.l2p[lpn]; {
+	switch v := f.l2p.get(lpn); {
 	case v > 0:
 		return int64(v) - 1, true
 	case v == 0 && lpn < f.preSlots:
@@ -200,7 +204,7 @@ func (f *FTL) Lookup(lpn int64) (ppn int64, ok bool) {
 // owner reports the LPN whose data ppn holds, noPPN if the slot is
 // invalid or unwritten. It inverts Lookup.
 func (f *FTL) owner(ppn int64) int64 {
-	switch v := f.p2l[ppn]; {
+	switch v := f.p2l.get(ppn); {
 	case v > 0:
 		return int64(v) - 1
 	case v < 0:
@@ -275,15 +279,15 @@ func (f *FTL) Commit(lpn, ppn int64) {
 	if old, ok := f.Lookup(lpn); ok {
 		f.invalidate(old)
 	}
-	f.l2p[lpn] = int32(ppn + 1)
-	f.p2l[ppn] = int32(lpn + 1)
+	f.l2p.set(lpn, int32(ppn+1))
+	f.p2l.set(ppn, int32(lpn+1))
 	f.blockOf(ppn).committed++
 }
 
 // CommitDiscard is used when a buffered write was superseded before its
 // program completed: the physical slot is immediately invalid.
 func (f *FTL) CommitDiscard(ppn int64) {
-	f.p2l[ppn] = unmapped
+	f.p2l.set(ppn, unmapped)
 	b := f.blockOf(ppn)
 	b.committed++
 	b.invalid++
@@ -291,7 +295,7 @@ func (f *FTL) CommitDiscard(ppn int64) {
 
 func (f *FTL) invalidate(ppn int64) {
 	if f.owner(ppn) != noPPN {
-		f.p2l[ppn] = unmapped
+		f.p2l.set(ppn, unmapped)
 		f.blockOf(ppn).invalid++
 	}
 }
@@ -345,7 +349,7 @@ type MigrationPage struct {
 // resets its bookkeeping.
 func (f *FTL) EraseDone(unit, block int) {
 	base := f.pack(unit, block, 0)
-	clear(f.p2l[base : base+int64(f.slotsPerBlock)])
+	f.p2l.clearRange(base, base+int64(f.slotsPerBlock))
 	f.blocks[f.blockIndex(unit, block)] = blockState{}
 	u := &f.ustate[unit]
 	u.free = append(u.free, block)
@@ -401,16 +405,19 @@ func (w WearReport) WriteAmp() float64 {
 
 // StillCurrent reports whether ppn is still the mapping target of lpn —
 // a migration must not commit if the host overwrote the slot meanwhile.
+// It asks the reverse map, which equals asking Lookup(lpn) == ppn because
+// the two directions are inverse bijections (see Check): GC asks in PPN
+// order over its victim block, so this reads the entries Victim just
+// scanned instead of a random l2p entry.
 func (f *FTL) StillCurrent(lpn, ppn int64) bool {
-	cur, ok := f.Lookup(lpn)
-	return ok && cur == ppn
+	return f.owner(ppn) == lpn
 }
 
 // Trim unmaps lpn, invalidating its physical slot (NVMe Deallocate).
 func (f *FTL) Trim(lpn int64) {
 	if old, ok := f.Lookup(lpn); ok {
 		f.invalidate(old)
-		f.l2p[lpn] = unmapped
+		f.l2p.set(lpn, unmapped)
 	}
 }
 
@@ -441,7 +448,7 @@ func (f *FTL) Check() error {
 		if !ok {
 			continue
 		}
-		if ppn < 0 || ppn >= int64(len(f.p2l)) {
+		if ppn < 0 || ppn >= f.p2l.n {
 			return fmt.Errorf("ssd: LPN %d maps to PPN %d outside the media", lpn, ppn)
 		}
 		if got := f.owner(ppn); got != lpn {

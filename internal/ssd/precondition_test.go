@@ -50,7 +50,7 @@ func sameFTL(t *testing.T, what string, got, want *Device) {
 			t.Fatalf("%s: Lookup(%d) = %d,%v, want %d,%v", what, lpn, gp, gok, wp, wok)
 		}
 	}
-	for ppn := int64(0); ppn < int64(len(w.p2l)); ppn++ {
+	for ppn := int64(0); ppn < w.p2l.n; ppn++ {
 		if gotOwner, wantOwner := g.owner(ppn), w.owner(ppn); gotOwner != wantOwner {
 			t.Fatalf("%s: owner(%d) = %d, want %d", what, ppn, gotOwner, wantOwner)
 		}
@@ -219,8 +219,8 @@ func TestNewFTLRejectsInt32Overflow(t *testing.T) {
 // Check must notice each class of corruption it audits.
 func TestFTLCheckDetectsCorruption(t *testing.T) {
 	for name, corrupt := range map[string]func(f *FTL){
-		"p2l names another LPN": func(f *FTL) { f.p2l[f.pack(0, 0, 0)] = 1000 + 1 },
-		"l2p override dangles":  func(f *FTL) { f.l2p[5] = int32(f.pack(1, 9, 0)) + 1 },
+		"p2l names another LPN": func(f *FTL) { f.p2l.set(f.pack(0, 0, 0), 1000+1) },
+		"l2p override dangles":  func(f *FTL) { f.l2p.set(5, int32(f.pack(1, 9, 0))+1) },
 		"invalid miscounted":    func(f *FTL) { f.blocks[0].invalid++ },
 		"committed > written":   func(f *FTL) { f.blocks[0].committed = f.blocks[0].written + 1 },
 		"free list repeats":     func(f *FTL) { f.ustate[0].free = append(f.ustate[0].free, f.ustate[0].free[0]) },
