@@ -1,8 +1,8 @@
 // The page cache: mapped pages, the clean LRU, the buffered read and
-// write paths, and readahead. The hit path is allocation-free — a map
-// lookup, list relinks, CPU charges, and one pooled engine event — so
-// cache-resident workloads measure the modeled copy cost, not the
-// simulator's.
+// write paths, and readahead. The hit path is allocation-free — an
+// open-addressed index probe (sim.Index, page idx -> page id), list
+// relinks, CPU charges, and one pooled engine event — so cache-resident
+// workloads measure the modeled copy cost, not the simulator's.
 package fs
 
 import (
@@ -17,6 +17,7 @@ import (
 // writeback are on neither list.
 type page struct {
 	idx        int64
+	id         int32 // index in FS.pageByID; fixed for the page's life
 	dirty      bool
 	writing    bool // writeback in flight
 	redirty    bool // dirtied again while writing
@@ -102,6 +103,16 @@ func (f *FS) markDirty(pg *page, now sim.Time) {
 	f.armExpire()
 }
 
+// lookup returns the cached page for idx, or nil.
+//
+//ullvet:noalloc bench=BenchmarkFSBufferedRead
+func (f *FS) lookup(idx int64) *page {
+	if id, ok := f.cache.Get(idx); ok {
+		return f.pageByID[id]
+	}
+	return nil
+}
+
 // insertPage maps idx to a cache page, evicting the coldest clean page
 // when the cache is full. Returns nil when nothing is evictable (every
 // page dirty or under writeback) — the caller falls back to bypassing
@@ -110,8 +121,10 @@ func (f *FS) insertPage(idx int64) *page {
 	var pg *page
 	if f.nCached < f.pages {
 		// Pages are never freed once allocated — eviction reuses them in
-		// place — so growth up to capacity is a plain allocation.
-		pg = &page{}
+		// place — so growth up to capacity is a plain allocation, and the
+		// id registry only ever appends.
+		pg = &page{id: int32(len(f.pageByID))}
+		f.pageByID = append(f.pageByID, pg)
 		f.nCached++
 	} else {
 		pg = f.cleanTail
@@ -119,12 +132,12 @@ func (f *FS) insertPage(idx int64) *page {
 			return nil
 		}
 		f.cleanUnlink(pg)
-		delete(f.cache, pg.idx)
+		f.cache.Remove(pg.idx)
 		f.stats.Evicted++
 	}
 	pg.idx = idx
 	pg.dirty, pg.writing, pg.redirty = false, false, false
-	f.cache[idx] = pg
+	f.cache.Put(idx, pg.id)
 	f.cleanPush(pg)
 	f.stats.Inserted++
 	return pg
@@ -143,7 +156,7 @@ func (f *FS) fillDone(fl *fill) {
 			op.span.To(probe.PCacheMiss, f.eng.Now())
 		}
 	}
-	pg := f.cache[fl.idx]
+	pg := f.lookup(fl.idx)
 	if pg == nil {
 		pg = f.insertPage(fl.idx)
 		if pg == nil {
@@ -210,7 +223,7 @@ func (f *FS) read(offset int64, length int, done func()) {
 	var op *fsOp
 	delay := pre
 	for idx := first; idx <= last; idx++ {
-		if pg := f.cache[idx]; pg != nil {
+		if pg := f.lookup(idx); pg != nil {
 			f.stats.Hits++
 			f.touch(pg)
 			delay += f.costs.CopyPerPage.Time
@@ -265,7 +278,7 @@ func (f *FS) readahead(offset int64, length int) {
 		limit = max
 	}
 	for idx := start; idx < limit; idx++ {
-		if f.cache[idx] != nil {
+		if f.lookup(idx) != nil {
 			continue
 		}
 		f.stats.Readaheads++
@@ -308,7 +321,7 @@ func (f *FS) write(offset int64, length int, done func()) {
 		if spanEnd > pstart+f.ps {
 			spanEnd = pstart + f.ps
 		}
-		if pg := f.cache[idx]; pg != nil {
+		if pg := f.lookup(idx); pg != nil {
 			f.touch(pg)
 			f.markDirty(pg, now)
 			continue

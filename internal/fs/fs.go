@@ -18,6 +18,7 @@ package fs
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/probe"
@@ -191,9 +192,11 @@ type FS struct {
 
 	gate gate
 
-	// Page cache: mapped pages, the clean LRU (evictable pages only),
-	// and the dirty FIFO (oldest first).
-	cache                map[int64]*page
+	// Page cache: the page index (page idx -> page id), the pages by
+	// id, the clean LRU (evictable pages only), and the dirty FIFO
+	// (oldest first).
+	cache                sim.Index
+	pageByID             []*page
 	cleanHead, cleanTail *page
 	dirtyHead, dirtyTail *page
 	nCached, nDirty      int64
@@ -306,11 +309,13 @@ func New(eng *sim.Engine, core *cpu.Core, dev Backend, devBytes int64, serialDev
 	if f.exported <= 0 {
 		panic("fs: no exported capacity left under the journal area")
 	}
+	if n := f.exported / f.ps; f.pages > 0 && n > math.MaxInt32 {
+		panic(fmt.Sprintf("fs: %d exported pages; the page cache indexes at most %d", n, math.MaxInt32))
+	}
 	f.journalOff = f.exported
 	f.journalLen = devBytes - f.exported
 
 	f.gate = gate{dev: dev, serial: serialDev}
-	f.cache = make(map[int64]*page)
 	f.wbExtentFn = f.wbExtentDone
 	f.expireFn = f.expireFire
 	f.syncStepFn = f.syncAdvance

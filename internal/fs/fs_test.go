@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cpu"
@@ -477,5 +478,39 @@ func TestReadaheadNewStreamResets(t *testing.T) {
 	}
 	if f.Stats().Readaheads <= ra {
 		t.Fatalf("stream B never prefetched (stuck at %d readaheads)", ra)
+	}
+}
+
+// The page-cache index holds page numbers below MaxInt32, so a cached FS
+// must refuse a backend exporting more pages than that, as NewFTL
+// refuses a geometry with too many mapping slots. At the limit the top
+// page caches like any other; an uncached FS never indexes pages.
+func TestNewRejectsTooManyPages(t *testing.T) {
+	const ps = DefaultPageSize
+	limit := int64(math.MaxInt32) * ps
+	build := func(devBytes int64, cfg Config) (f *FS, eng *sim.Engine, panicked any) {
+		defer func() { panicked = recover() }()
+		eng = sim.NewEngine()
+		dev := &fakeDev{eng: eng, readLat: sim.Microsecond}
+		return New(eng, cpu.NewCore(), dev, devBytes, false, cfg), eng, nil
+	}
+	cached := Config{CacheBytes: 64 * ps}
+	if _, _, p := build(limit+ps, cached); p == nil {
+		t.Fatal("a cached FS over MaxInt32+1 exported pages was built")
+	}
+	if _, _, p := build(limit+ps, Config{}); p != nil {
+		t.Fatalf("an uncached FS over MaxInt32+1 pages panicked: %v", p)
+	}
+	f, eng, p := build(limit, cached)
+	if p != nil {
+		t.Fatalf("a cached FS over MaxInt32 exported pages panicked: %v", p)
+	}
+	top := f.ExportedBytes() - ps
+	for i := 0; i < 2; i++ {
+		f.Submit(false, top, ps, func() {})
+		eng.Run()
+	}
+	if s := f.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("top page: %d misses, %d hits; want 1 and 1", s.Misses, s.Hits)
 	}
 }

@@ -16,30 +16,41 @@ const subUnit = 512
 
 // bufEntry is the buffered dirty state of one device page. Entries are
 // pooled by the WriteBuffer: Release recycles them, Insert reuses them.
+// Each has a fixed id, its index in the buffer's registry, which is what
+// the buffer's lpn indexes hold.
 type bufEntry struct {
 	lpn      int64
 	dirty    uint32 // bitmask of dirty sub-units
 	bytes    int64  // bytes accounted against buffer capacity
 	flushing bool
 	flushEv  sim.EventRef
+	id       int32     // index in WriteBuffer.ents; survives recycling
 	free     *bufEntry // free-list link while recycled
 }
 
 // WriteBuffer tracks dirty mapping slots awaiting flush to flash. Slots
 // being programmed stay readable (inflight) until their program lands.
+//
+// Both lpn indexes are sim.Index tables of entry ids rather than Go
+// maps: Covers runs on every read slot and prefetch candidate, and
+// Insert/Detach/Release on every written slot. The tables grow by
+// doubling: live entries are bounded by the capacity in slots plus the
+// one oversized write admitted into an empty buffer.
 type WriteBuffer struct {
 	capacity int64
 	used     int64
-	pageSize int    // mapping-slot size in bytes
-	subBits  uint32 // full dirty mask for one slot
-	entries  map[int64]*bufEntry
-	inflight map[int64]*bufEntry
+	pageSize int         // mapping-slot size in bytes
+	subBits  uint32      // full dirty mask for one slot
+	entries  sim.Index   // lpn -> id of the staged (not yet flushing) entry
+	inflight sim.Index   // lpn -> id of the newest entry being programmed
+	ents     []*bufEntry // every entry ever made, by id; grows with the pool
 	freeEnts *bufEntry   // recycled entries
 	scratch  []*bufEntry // reused by Entries
 	sorter   entSorter
 }
 
 // NewWriteBuffer returns an empty buffer over slots of pageSize bytes.
+// Its indexes are allocated at the first write.
 func NewWriteBuffer(capacity int64, pageSize int) *WriteBuffer {
 	bits := pageSize / subUnit
 	if bits < 1 {
@@ -52,8 +63,6 @@ func NewWriteBuffer(capacity int64, pageSize int) *WriteBuffer {
 		capacity: capacity,
 		pageSize: pageSize,
 		subBits:  uint32(1)<<uint(bits) - 1,
-		entries:  make(map[int64]*bufEntry),
-		inflight: make(map[int64]*bufEntry),
 	}
 }
 
@@ -84,20 +93,26 @@ func (w *WriteBuffer) MaskFor(off, n int) uint32 {
 func (w *WriteBuffer) Used() int64     { return w.used }
 func (w *WriteBuffer) Capacity() int64 { return w.capacity }
 
-// HasSpace reports whether n more bytes fit.
-func (w *WriteBuffer) HasSpace(n int64) bool { return w.used+n <= w.capacity }
+// HasSpace reports whether a write of n bytes can be admitted: it fits,
+// or the buffer is empty. A write larger than the whole buffer could
+// never fit, so it is admitted alone once everything before it has
+// drained, and overshoots the capacity until its own slots flush.
+func (w *WriteBuffer) HasSpace(n int64) bool { return w.used == 0 || w.used+n <= w.capacity }
 
 // Insert merges a dirty span into the buffer and reports the entry and
 // whether it was newly created (the caller schedules its flush). If the
 // page's current entry is already flushing, a fresh entry replaces it.
 // Newly dirty bytes are charged against capacity; the caller must have
 // checked HasSpace.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
 func (w *WriteBuffer) Insert(lpn int64, mask uint32) (e *bufEntry, isNew bool) {
-	e = w.entries[lpn]
+	if id, ok := w.entries.Get(lpn); ok {
+		e = w.ents[id]
+	}
 	if e == nil || e.flushing {
 		e = w.getEnt(lpn)
-		//ullvet:retained staged in the dirty map until its flush lands; Release puts it back
-		w.entries[lpn] = e
+		w.entries.Put(lpn, e.id)
 		isNew = true
 	}
 	added := mask &^ e.dirty
@@ -112,12 +127,14 @@ func (w *WriteBuffer) Insert(lpn int64, mask uint32) (e *bufEntry, isNew bool) {
 }
 
 // Covers reports whether the buffer holds all sub-units in mask for lpn,
-// in either the staging map or the in-flight (programming) set.
+// in either the staged or the in-flight (programming) entry.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
 func (w *WriteBuffer) Covers(lpn int64, mask uint32) bool {
-	if e := w.entries[lpn]; e != nil && e.dirty&mask == mask {
+	if id, ok := w.entries.Get(lpn); ok && w.ents[id].dirty&mask == mask {
 		return true
 	}
-	if e := w.inflight[lpn]; e != nil && e.dirty&mask == mask {
+	if id, ok := w.inflight.Get(lpn); ok && w.ents[id].dirty&mask == mask {
 		return true
 	}
 	return false
@@ -126,15 +143,17 @@ func (w *WriteBuffer) Covers(lpn int64, mask uint32) bool {
 // Full reports whether the entry covers the whole slot.
 func (w *WriteBuffer) Full(e *bufEntry) bool { return e.dirty == w.subBits }
 
-// Detach moves the entry from the staging map to the in-flight set
+// Detach moves the entry from the staged index to the in-flight one
 // (flush start): newer writes create fresh entries, but reads can still
 // be served from the copy being programmed. Bytes stay accounted until
 // Release.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
 func (w *WriteBuffer) Detach(e *bufEntry) {
-	if w.entries[e.lpn] == e {
-		delete(w.entries, e.lpn)
+	if i, ok := w.entries.Slot(e.lpn); ok && w.entries.Val(i) == e.id {
+		w.entries.DeleteAt(i)
 	}
-	w.inflight[e.lpn] = e
+	w.inflight.Put(e.lpn, e.id)
 }
 
 // Release returns an entry's bytes to the capacity pool (flush done) and
@@ -142,26 +161,32 @@ func (w *WriteBuffer) Detach(e *bufEntry) {
 // reports whether e was its slot's newest flush: false when a later
 // write to the same slot started flushing while e was in flight, which
 // makes e's copy stale.
+//
+//ullvet:noalloc bench=BenchmarkDeviceGC
 func (w *WriteBuffer) Release(e *bufEntry) (newest bool) {
 	w.used -= e.bytes
 	e.bytes = 0
-	if newest = w.inflight[e.lpn] == e; newest {
-		delete(w.inflight, e.lpn)
+	if i, ok := w.inflight.Slot(e.lpn); ok && w.inflight.Val(i) == e.id {
+		newest = true
+		w.inflight.DeleteAt(i)
 	}
 	w.putEnt(e)
 	return newest
 }
 
-// getEnt takes a zeroed entry for lpn from the free list.
+// getEnt takes a zeroed entry for lpn from the free list, or makes and
+// registers a new one.
 //
 //ullvet:pool get
 func (w *WriteBuffer) getEnt(lpn int64) *bufEntry {
 	if f := w.freeEnts; f != nil {
 		w.freeEnts = f.free
-		*f = bufEntry{lpn: lpn}
+		*f = bufEntry{lpn: lpn, id: f.id}
 		return f
 	}
-	return &bufEntry{lpn: lpn}
+	e := &bufEntry{lpn: lpn, id: int32(len(w.ents))}
+	w.ents = append(w.ents, e)
+	return e
 }
 
 // putEnt returns an entry to the free list.
@@ -172,18 +197,20 @@ func (w *WriteBuffer) putEnt(e *bufEntry) {
 	w.freeEnts = e
 }
 
-// Len reports the number of live entries.
-func (w *WriteBuffer) Len() int { return len(w.entries) }
+// Len reports the number of staged entries.
+func (w *WriteBuffer) Len() int { return w.entries.Len() }
 
 // Entries snapshots the staged (not yet flushing) entries in LPN order
-// (deterministic — map iteration order must not leak into simulations),
-// for FLUSH command handling. The returned slice is reused by the next
-// call; callers must consume it before touching the buffer again.
+// (deterministic — the index's cell order must not leak into
+// simulations), for FLUSH command handling. The returned slice is
+// reused by the next call; callers must consume it before touching the
+// buffer again.
 func (w *WriteBuffer) Entries() []*bufEntry {
 	w.scratch = w.scratch[:0]
-	//ullvet:sorted snapshot is LPN-sorted by w.sorter below before any caller sees it
-	for _, e := range w.entries {
-		w.scratch = append(w.scratch, e)
+	for i := 0; i < w.entries.Cap(); i++ {
+		if _, id, ok := w.entries.At(i); ok {
+			w.scratch = append(w.scratch, w.ents[id])
+		}
 	}
 	w.sorter.ents = w.scratch
 	sort.Sort(&w.sorter)
@@ -213,7 +240,7 @@ func popcount(x uint32) int {
 // strict LRU) keeps the model simple; for the streaming and random
 // workloads of the paper the two behave identically.
 //
-// The lpn -> ring-slot index is a probeTable rather than a Go map: the
+// The lpn -> ring-slot index is a sim.Index rather than a Go map: the
 // hit check runs once per device read, and at a fixed <=25% load factor
 // the lookup is a handful of array reads with no hashing-interface
 // overhead.
@@ -221,7 +248,7 @@ type ReadCache struct {
 	cap  int
 	ring []int64
 	next int
-	idx  probeTable // lpn -> ring slot
+	idx  sim.Index // lpn -> ring slot
 }
 
 // NewReadCache returns a cache holding up to capPages pages. A zero or
@@ -238,7 +265,7 @@ func NewReadCache(capPages int) *ReadCache {
 	for size < 4*capPages {
 		size <<= 1
 	}
-	return &ReadCache{cap: capPages, ring: ring, idx: newProbeTable(size)}
+	return &ReadCache{cap: capPages, ring: ring, idx: sim.NewIndex(size)}
 }
 
 // Contains reports whether lpn is cached.
@@ -246,7 +273,7 @@ func (c *ReadCache) Contains(lpn int64) bool {
 	if c.cap == 0 {
 		return false
 	}
-	_, ok := c.idx.slot(lpn)
+	_, ok := c.idx.Slot(lpn)
 	return ok
 }
 
@@ -257,18 +284,18 @@ func (c *ReadCache) Insert(lpn int64) {
 	}
 	// One probe pass does double duty: duplicate check and insertion
 	// cell.
-	i, ok := c.idx.slot(lpn)
+	i, ok := c.idx.Slot(lpn)
 	if ok {
 		return
 	}
 	if old := c.ring[c.next]; old >= 0 {
 		// Eviction rearranges cells (backward-shift deletion can vacate
 		// or refill cells along lpn's probe chain), so reprobe from home.
-		c.idx.remove(old)
-		i, _ = c.idx.slot(lpn)
+		c.idx.Remove(old)
+		i, _ = c.idx.Slot(lpn)
 	}
 	c.ring[c.next] = lpn
-	c.idx.putAt(i, lpn, int32(c.next))
+	c.idx.PutAt(i, lpn, int32(c.next))
 	c.next = (c.next + 1) % c.cap
 }
 
@@ -277,11 +304,11 @@ func (c *ReadCache) Invalidate(lpn int64) {
 	if c.cap == 0 {
 		return
 	}
-	if i, ok := c.idx.slot(lpn); ok {
-		c.ring[c.idx.cells[i].val] = -1
-		c.idx.deleteAt(i)
+	if i, ok := c.idx.Slot(lpn); ok {
+		c.ring[c.idx.Val(i)] = -1
+		c.idx.DeleteAt(i)
 	}
 }
 
 // Len reports the number of cached pages.
-func (c *ReadCache) Len() int { return c.idx.n }
+func (c *ReadCache) Len() int { return c.idx.Len() }

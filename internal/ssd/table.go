@@ -1,90 +1,6 @@
 package ssd
 
-// Two structures share one open-addressed index: the read cache's
-// lpn -> ring-slot table and the sparse form of each FTL mapping
-// direction. Both key on mapping-slot numbers, which the FTL bounds to
-// [0, MaxInt32), so a cell is two int32s.
-
-// probeTable is a fixed-size open-addressed linear-probe table. It never
-// grows: its owner sizes it once and keeps the load at or below one half,
-// where probe sequences stay a handful of adjacent cells — cheaper than a
-// Go map, with no hashing interface and no per-entry allocation. Deletion
-// shifts entries back rather than leaving tombstones.
-type probeTable struct {
-	cells []probeCell
-	mask  uint64
-	n     int // occupied cells
-}
-
-// probeCell holds key+1, so the zeroed memory make returns is an empty
-// table.
-type probeCell struct {
-	key int32 // key+1; 0 marks an empty cell
-	val int32
-}
-
-// newProbeTable returns an empty table of size cells, a power of two.
-func newProbeTable(size int) probeTable {
-	return probeTable{cells: make([]probeCell, size), mask: uint64(size - 1)}
-}
-
-// home is the preferred cell for key.
-func (t *probeTable) home(key int64) uint64 {
-	h := uint64(key) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return h & t.mask
-}
-
-// slot returns the cell holding key, or the empty cell ending its probe
-// sequence (where putAt would insert it) and false.
-func (t *probeTable) slot(key int64) (i uint64, found bool) {
-	k := int32(key + 1)
-	for i = t.home(key); ; i = (i + 1) & t.mask {
-		switch t.cells[i].key {
-		case k:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-// putAt fills the empty cell i, which slot returned for key.
-func (t *probeTable) putAt(i uint64, key int64, val int32) {
-	t.cells[i] = probeCell{key: int32(key + 1), val: val}
-	t.n++
-}
-
-// remove deletes key if present.
-func (t *probeTable) remove(key int64) {
-	if i, ok := t.slot(key); ok {
-		t.deleteAt(i)
-	}
-}
-
-// deleteAt empties cell i with backward-shift deletion, keeping every
-// remaining entry reachable from its home cell without tombstones.
-func (t *probeTable) deleteAt(i uint64) {
-	t.n--
-	for {
-		t.cells[i] = probeCell{}
-		j := i
-		for {
-			j = (j + 1) & t.mask
-			k := t.cells[j].key
-			if k == 0 {
-				return
-			}
-			// Shift j's entry up only if its home cell lies cyclically at
-			// or before the hole — otherwise it would move ahead of it.
-			if (j-t.home(int64(k)-1))&t.mask >= (j-i)&t.mask {
-				t.cells[i] = t.cells[j]
-				i = j
-				break
-			}
-		}
-	}
-}
+import "repro/internal/sim"
 
 // mapDir is one direction of the FTL mapping (l2p or p2l): an int32 per
 // index of a fixed domain, 0 unless stored. Storage follows what a run
@@ -92,9 +8,9 @@ func (t *probeTable) deleteAt(i uint64) {
 // override table of about 1/32 of the domain, and, once that table is
 // half full, the flat array. A flat direction stays flat.
 type mapDir struct {
-	flat  []int32    // the whole domain once promoted; nil before
-	table probeTable // the overrides while sparse
-	n     int64      // domain size
+	flat  []int32   // the whole domain once promoted; nil before
+	table sim.Index // the overrides while sparse
+	n     int64     // domain size
 }
 
 // sparseCells sizes a domain's override table: the power of two at or
@@ -125,13 +41,8 @@ func (m *mapDir) get(i int64) int32 {
 //
 //go:noinline
 func (m *mapDir) getSparse(i int64) int32 {
-	if m.table.n == 0 {
-		return 0
-	}
-	if c, ok := m.table.slot(i); ok {
-		return m.table.cells[c].val
-	}
-	return 0
+	v, _ := m.table.Get(i)
+	return v
 }
 
 // set stores entry i.
@@ -146,30 +57,30 @@ func (m *mapDir) set(i int64, v int32) {
 // setSparse stores entry i in the override table, allocating the table
 // at the first override and promoting to the flat array at half load.
 func (m *mapDir) setSparse(i int64, v int32) {
-	if m.table.cells == nil {
-		m.table = newProbeTable(sparseCells(m.n))
+	if m.table.Cap() == 0 {
+		m.table = sim.NewIndex(sparseCells(m.n))
 	}
-	c, ok := m.table.slot(i)
+	c, ok := m.table.Slot(i)
 	switch {
 	case ok:
-		m.table.cells[c].val = v
-	case 2*(m.table.n+1) > len(m.table.cells):
+		m.table.SetVal(c, v)
+	case m.table.Crowded():
 		m.promote()
 		m.flat[i] = v
 	default:
-		m.table.putAt(c, i, v)
+		m.table.PutAt(c, i, v)
 	}
 }
 
 // promote moves the overrides into the flat array and drops the table.
 func (m *mapDir) promote() {
 	m.flat = make([]int32, m.n)
-	for _, c := range m.table.cells {
-		if c.key != 0 {
-			m.flat[c.key-1] = c.val
+	for c := 0; c < m.table.Cap(); c++ {
+		if k, v, ok := m.table.At(c); ok {
+			m.flat[k] = v
 		}
 	}
-	m.table = probeTable{}
+	m.table = sim.Index{}
 }
 
 // clearRange resets entries [lo, hi) to 0.
@@ -178,7 +89,7 @@ func (m *mapDir) clearRange(lo, hi int64) {
 		clear(m.flat[lo:hi])
 		return
 	}
-	for i := lo; i < hi && m.table.n > 0; i++ {
-		m.table.remove(i)
+	for i := lo; i < hi && m.table.Len() > 0; i++ {
+		m.table.Remove(i)
 	}
 }

@@ -31,7 +31,7 @@ func TestMapDirMatchesFlatArray(t *testing.T) {
 				}
 			}
 			same("fresh")
-			if m.table.cells != nil || m.flat != nil {
+			if m.table.Cap() != 0 || m.flat != nil {
 				t.Fatalf("%s %s: reads allocated storage", c.name, dir.name)
 			}
 			rng := sim.NewRNG(uint64(dir.n))
@@ -70,12 +70,12 @@ func TestMapDirMatchesFlatArray(t *testing.T) {
 				switch {
 				case m.flat != nil && !wasFlat:
 					same("at promotion")
-					if m.table.cells != nil || int64(len(m.flat)) != dir.n {
-						t.Fatalf("%s %s: promotion left table %d cells, flat %d entries", c.name, dir.name, len(m.table.cells), len(m.flat))
+					if m.table.Cap() != 0 || int64(len(m.flat)) != dir.n {
+						t.Fatalf("%s %s: promotion left table %d cells, flat %d entries", c.name, dir.name, m.table.Cap(), len(m.flat))
 					}
 					after = 0
-				case m.flat == nil && m.table.n > len(m.table.cells)/2:
-					t.Fatalf("%s %s: table over half full (%d of %d)", c.name, dir.name, m.table.n, len(m.table.cells))
+				case m.flat == nil && m.table.Len() > m.table.Cap()/2:
+					t.Fatalf("%s %s: table over half full (%d of %d)", c.name, dir.name, m.table.Len(), m.table.Cap())
 				case op == 5000:
 					same("sparse")
 				case after >= 0:
@@ -100,7 +100,7 @@ func TestFTLCheckSparseAndPromoted(t *testing.T) {
 		d.Precondition(0.9)
 		churn(eng, d, 1200)
 		f := d.ftl
-		if f.l2p.table.n == 0 && f.l2p.flat == nil {
+		if f.l2p.table.Len() == 0 && f.l2p.flat == nil {
 			t.Fatalf("%s: the mix overrode no mapping entry", c.name)
 		}
 		if (f.l2p.flat != nil) != c.flat || (f.p2l.flat != nil) != c.flat {
